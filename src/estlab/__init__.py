@@ -10,146 +10,19 @@ The package is organised as pure functions over immutable values:
 * :mod:`estlab.cli`          the ``estlab`` command-line tool
 """
 
-from .errors import (
-    DegeneratePopulationError,
-    DegenerateSampleError,
-    EstlabError,
-    InvalidMomentsError,
-    InvalidSampleSizeError,
-    InvalidSyntheticSpecError,
-    MissingPopulationSizeError,
-    PopulationParseError,
-    SampleTooSmallError,
-    TooManySamplesError,
-    UndefinedConstantError,
-    UndefinedEstimateError,
-    UndefinedPreError,
-)
-from .estimators import (
-    FAMILY_FORMS,
-    EstimatorForm,
-    EstimatorId,
-    ParamValue,
-    SampleData,
-    SampleStats,
-    Symbol,
-    adjusted_ratio,
-    compute_sample_stats,
-    estimate_general,
-    estimate_naik_gupta,
-    estimate_named,
-    resolve_form,
-    resolve_param,
-)
-from .population import (
-    FinitePopulation,
-    PopulationParams,
-    bernoulli_kurtosis,
-    compute_params,
-    load_population,
-    params_from_moments,
-    variance_sample_mean,
-)
-from .simulation import (
-    ENUMERATION_GUARD,
-    EstimatorSummary,
-    SimConfig,
-    SimResult,
-    SyntheticSpec,
-    draw_srswor,
-    enumerate_all_samples,
-    monte_carlo,
-    synthesize_population,
-)
-from .theory import (
-    DISPLAY_ORDER,
-    ComparisonResult,
-    EfficiencyReport,
-    MseReport,
-    PreRow,
-    RatioConstant,
-    efficiency_report,
-    efficiency_vs_mean,
-    efficiency_vs_ng,
-    form_ratio_constant,
-    k_yp,
-    linearization_coefficients,
-    mse_from_linearization,
-    mse_naik_gupta,
-    mse_proposed,
-    mse_report,
-    pre_table,
-    pre_vs_mean,
-    rank_pre_rows,
-    ratio_constant,
-    ratio_constants,
-)
+from . import errors, estimators, population, simulation, theory
+from .errors import *  # noqa: F403
+from .estimators import *  # noqa: F403
+from .population import *  # noqa: F403
+from .simulation import *  # noqa: F403
+from .theory import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ENUMERATION_GUARD",
-    "FAMILY_FORMS",
-    "DISPLAY_ORDER",
-    "ComparisonResult",
-    "DegeneratePopulationError",
-    "DegenerateSampleError",
-    "EfficiencyReport",
-    "EstimatorForm",
-    "EstimatorId",
-    "EstimatorSummary",
-    "EstlabError",
-    "FinitePopulation",
-    "InvalidMomentsError",
-    "InvalidSampleSizeError",
-    "InvalidSyntheticSpecError",
-    "MissingPopulationSizeError",
-    "MseReport",
-    "ParamValue",
-    "PopulationParams",
-    "PopulationParseError",
-    "PreRow",
-    "RatioConstant",
-    "SampleData",
-    "SampleStats",
-    "SampleTooSmallError",
-    "SimConfig",
-    "SimResult",
-    "Symbol",
-    "SyntheticSpec",
-    "TooManySamplesError",
-    "UndefinedConstantError",
-    "UndefinedEstimateError",
-    "UndefinedPreError",
-    "adjusted_ratio",
-    "bernoulli_kurtosis",
-    "compute_params",
-    "compute_sample_stats",
-    "draw_srswor",
-    "efficiency_report",
-    "efficiency_vs_mean",
-    "efficiency_vs_ng",
-    "enumerate_all_samples",
-    "estimate_general",
-    "estimate_naik_gupta",
-    "estimate_named",
-    "form_ratio_constant",
-    "k_yp",
-    "linearization_coefficients",
-    "load_population",
-    "monte_carlo",
-    "mse_from_linearization",
-    "mse_naik_gupta",
-    "mse_proposed",
-    "mse_report",
-    "params_from_moments",
-    "pre_table",
-    "pre_vs_mean",
-    "rank_pre_rows",
-    "ratio_constant",
-    "ratio_constants",
-    "resolve_form",
-    "resolve_param",
-    "synthesize_population",
-    "variance_sample_mean",
+    *errors.__all__,
+    *estimators.__all__,
+    *population.__all__,
+    *simulation.__all__,
+    *theory.__all__,
 ]

@@ -18,6 +18,7 @@ is absent; with neither, the seed is 0.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -143,22 +144,6 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-def _params_dict(params: PopulationParams) -> dict[str, Any]:
-    return {
-        "Ybar": params.Ybar,
-        "P": params.P,
-        "Q": params.Q,
-        "S_y2": params.S_y2,
-        "S_phi2": params.S_phi2,
-        "S_yphi": params.S_yphi,
-        "rho_pb": params.rho_pb,
-        "C_y": params.C_y,
-        "C_p": params.C_p,
-        "beta2_phi": params.beta2_phi,
-        "N": params.N,
-    }
-
-
 _MOMENT_KEYS = {
     "Ybar": float,
     "P": float,
@@ -264,7 +249,7 @@ def _emit(
 
 def _cmd_params(args: argparse.Namespace) -> int:
     params, echo, beta2_source = _load_params_source(args)
-    params_map = _params_dict(params)
+    params_map = dataclasses.asdict(params)
     results = {"params": params_map, "beta2_source": beta2_source}
     header = list(params_map) + ["beta2_source"]
     row = list(params_map.values()) + [beta2_source]
@@ -276,7 +261,9 @@ def _cmd_pre(args: argparse.Namespace) -> int:
     params, echo, _ = _load_params_source(args)
     warnings: list[str] = []
     n = args.n
-    if n is not None and params.N is not None and not 1 <= n <= params.N:
+    if n is not None and n < 1:
+        raise CliError(f"--n must be at least 1, got {n}")
+    if n is not None and params.N is not None and n > params.N:
         raise CliError(f"--n must satisfy 1 <= n <= {params.N}, got {n}")
 
     pre_by_label: dict[str, float | None] = {"mean": 100.0}
@@ -341,9 +328,9 @@ def _cmd_pre(args: argparse.Namespace) -> int:
 
 
 def _select_sample(args: argparse.Namespace, pop: FinitePopulation, seed: int) -> tuple[SampleData, dict[str, Any]]:
-    if args.sample and args.n:
+    if args.sample is not None and args.n is not None:
         raise CliError("give exactly one of --sample or --n")
-    if args.sample:
+    if args.sample is not None:
         try:
             indices = [int(tok) for tok in args.sample.split(",") if tok.strip()]
         except ValueError:
@@ -356,7 +343,7 @@ def _select_sample(args: argparse.Namespace, pop: FinitePopulation, seed: int) -
             raise CliError("--sample: need at least 2 units")
         idx = np.array(indices, dtype=np.intp) - 1
         return SampleData(y=pop.y[idx], phi=pop.phi[idx]), {"sample": indices}
-    if args.n:
+    if args.n is not None:
         rng = np.random.Generator(np.random.Philox(key=seed))
         sample = draw_srswor(pop, args.n, rng)
         return sample, {"n": args.n, "seed": seed}
@@ -401,6 +388,19 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_SIM_COLUMNS = [
+    "estimator",
+    "empirical_mean",
+    "empirical_bias",
+    "empirical_mse",
+    "empirical_pre",
+    "theoretical_mse",
+    "relative_error",
+    "degenerate_count",
+    "effective_replicates",
+]
+
+
 def _sim_results(
     result: SimResult, params: PopulationParams, include_mean: bool
 ) -> tuple[dict[str, Any], tuple[list[str], list[list[Any]]], list[str]]:
@@ -425,19 +425,12 @@ def _sim_results(
             warnings.append(
                 f"{row.estimator}: skipped {row.degenerate_count} degenerate sample(s)"
             )
-        rows_out.append(
-            {
-                "estimator": row.estimator,
-                "empirical_mean": _jsonable(row.empirical_mean),
-                "empirical_bias": _jsonable(row.empirical_bias),
-                "empirical_mse": _jsonable(row.empirical_mse),
-                "empirical_pre": row.empirical_pre,
-                "theoretical_mse": theoretical,
-                "relative_error": rel_err,
-                "degenerate_count": row.degenerate_count,
-                "effective_replicates": row.effective_replicates,
-            }
-        )
+        values = {
+            **dataclasses.asdict(row),
+            "theoretical_mse": theoretical,
+            "relative_error": rel_err,
+        }
+        rows_out.append({k: _jsonable(values[k]) for k in _SIM_COLUMNS})
     results = {
         "mode": result.mode,
         "n": result.n,
@@ -445,19 +438,8 @@ def _sim_results(
         "true_mean": result.true_mean,
         "rows": rows_out,
     }
-    header = [
-        "estimator",
-        "empirical_mean",
-        "empirical_bias",
-        "empirical_mse",
-        "empirical_pre",
-        "theoretical_mse",
-        "relative_error",
-        "degenerate_count",
-        "effective_replicates",
-    ]
-    csv_rows = [[r[k] for k in header] for r in rows_out]
-    return results, (header, csv_rows), warnings
+    csv_rows = [[r[k] for k in _SIM_COLUMNS] for r in rows_out]
+    return results, (_SIM_COLUMNS, csv_rows), warnings
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

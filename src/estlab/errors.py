@@ -5,6 +5,22 @@ callers can catch one type at the boundary.  Validation-style errors also
 derive from :class:`ValueError` to behave well with generic handling.
 """
 
+__all__ = [
+    "DegeneratePopulationError",
+    "DegenerateSampleError",
+    "EstlabError",
+    "InvalidMomentsError",
+    "InvalidSampleSizeError",
+    "InvalidSyntheticSpecError",
+    "MissingPopulationSizeError",
+    "PopulationParseError",
+    "SampleTooSmallError",
+    "TooManySamplesError",
+    "UndefinedConstantError",
+    "UndefinedEstimateError",
+    "UndefinedPreError",
+]
+
 
 class EstlabError(Exception):
     """Base class for all estlab errors."""

@@ -12,6 +12,11 @@ known population constants of the attribute (its kurtosis, its coefficient
 of variation, or the point-biserial correlation).  Ten named members
 ``t1 .. t10`` pin particular choices; the plain ratio estimator
 ``t_NG = ybar * P / p`` (Naik-Gupta) is the b_phi = 0 special case of t1.
+
+The two expressions are written once, in :func:`ratio_estimate` and
+:func:`family_estimate`.  Both are elementwise, so the scalar estimators
+below and the batch kernel in :mod:`estlab.simulation` evaluate the same
+arithmetic; each guards its own undefined cases before calling them.
 """
 
 from __future__ import annotations
@@ -183,6 +188,31 @@ def resolve_form(form: EstimatorForm, params: PopulationParams) -> tuple[float, 
     return m1, m2
 
 
+def ratio_estimate(ybar: float | np.ndarray, p: float | np.ndarray, P: float) -> np.ndarray:
+    """Plain ratio estimate ``(ybar / p) * P``, elementwise; exactly ybar where p == P.
+
+    Takes floats or arrays.  Rows with p == 0 are the caller's to exclude.
+    """
+    return np.where(p == P, ybar, (ybar / p) * P)
+
+
+def family_estimate(
+    ybar: float | np.ndarray,
+    p: float | np.ndarray,
+    P: float,
+    b_phi: float | np.ndarray,
+    m1: float,
+    m2: float,
+) -> np.ndarray:
+    """Family estimate ``(ybar + b_phi*(P - p)) / (m1*p + m2) * (m1*P + m2)``, elementwise.
+
+    Exactly ybar where p == P.  With b_phi = 0, m1 = 1 and m2 = 0 it equals
+    :func:`ratio_estimate` bit for bit.  Rows with an undefined b_phi or a
+    zero denominator are the caller's to exclude.
+    """
+    return np.where(p == P, ybar, (ybar + b_phi * (P - p)) / (m1 * p + m2) * (m1 * P + m2))
+
+
 def estimate_naik_gupta(stats: SampleStats, P: float) -> float:
     """Plain attribute ratio estimate ybar * P / p.
 
@@ -190,11 +220,7 @@ def estimate_naik_gupta(stats: SampleStats, P: float) -> float:
     """
     if stats.p == 0.0:
         raise UndefinedEstimateError("zero sample proportion")
-    if stats.p == P:
-        return float(stats.ybar)
-    # Evaluate as (ybar / p) * P, matching the family path so that t1 with
-    # b_phi = 0 reproduces this value bit for bit.
-    return (stats.ybar / stats.p) * P
+    return float(ratio_estimate(stats.ybar, stats.p, P))
 
 
 def adjusted_ratio(stats: SampleStats, P: float) -> float:
@@ -226,11 +252,9 @@ def estimate_general(
     if b_phi is None:
         raise DegenerateSampleError("b_phi undefined on this sample (constant attribute)")
     m1, m2 = resolve_form(form, params)
-    denominator = m1 * stats.p + m2
-    if denominator == 0.0:
+    if m1 * stats.p + m2 == 0.0:
         raise UndefinedEstimateError(f"zero denominator: m1*p + m2 = 0 at p = {stats.p}")
-    numerator = stats.ybar + b_phi * (P - stats.p)
-    return (numerator / denominator) * (m1 * P + m2)
+    return float(family_estimate(stats.ybar, stats.p, P, b_phi, m1, m2))
 
 
 def estimate_named(

@@ -246,8 +246,13 @@ def params_from_moments(
     Rebuilds S_y = C_y*Ybar, S_phi = C_p*P and S_yphi = rho_pb*S_y*S_phi.
     When ``beta2_phi`` is omitted it is filled in from the closed form
     (1-3PQ)/(PQ).  ``N`` may be omitted; operations that need the finite
-    population correction will then refuse to run.
+    population correction will then refuse to run.  Every moment given must
+    be finite.
     """
+    given = {"Ybar": Ybar, "P": P, "rho_pb": rho_pb, "C_y": C_y, "C_p": C_p, "beta2_phi": beta2_phi}
+    for name, value in given.items():
+        if value is not None and not math.isfinite(value):
+            raise InvalidMomentsError(f"{name} must be finite, got {value}")
     if not 0.0 < P < 1.0:
         raise InvalidMomentsError(f"P must lie strictly in (0,1), got {P}")
     if not Ybar > 0.0:

@@ -8,6 +8,14 @@ relative efficiency against the sample mean.  Enumeration visits every
 n-subset exactly once, so its numbers are exact design expectations (over
 the non-degenerate samples); Monte Carlo replicates independent draws.
 
+The kernel reduces each sample to three sums: the attribute count ``a``,
+``sum y`` and ``sum y*phi``, with y centred at the population mean.  On a
+0/1 attribute the sample regression slope is the difference of group means,
+``b_phi = ybar1 - ybar0``, so these sums determine every estimator.  The
+estimates themselves come from :func:`~estlab.estimators.ratio_estimate`
+and :func:`~estlab.estimators.family_estimate`, the same functions the
+scalar estimators use.
+
 Degenerate samples and the skip policy
 --------------------------------------
 A drawn sample whose attribute is constant (p = 0 or p = 1) leaves the
@@ -34,7 +42,7 @@ shared seed never reuses a stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, islice
 from typing import Iterable, Iterator, Literal, Sequence
 
@@ -46,9 +54,15 @@ from .errors import (
     InvalidSyntheticSpecError,
     TooManySamplesError,
 )
-from .estimators import FAMILY_FORMS, EstimatorId, SampleData, resolve_form
+from .estimators import (
+    FAMILY_FORMS,
+    EstimatorId,
+    SampleData,
+    family_estimate,
+    ratio_estimate,
+    resolve_form,
+)
 from .population import FinitePopulation, PopulationParams, compute_params
-from .theory import DISPLAY_ORDER
 
 __all__ = [
     "ENUMERATION_GUARD",
@@ -204,10 +218,9 @@ def draw_srswor(pop: FinitePopulation, n: int, rng: np.random.Generator) -> Samp
 
 
 def _normalize_estimators(estimators: Iterable[EstimatorId] | None) -> tuple[EstimatorId, ...]:
-    """Deduplicate and order the requested ratio-type estimators."""
+    """Deduplicate the requested ratio-type estimators, in declaration order."""
     chosen = set(EstimatorId(e) for e in estimators) if estimators is not None else set(EstimatorId)
-    order = {label: i for i, label in enumerate(DISPLAY_ORDER)}
-    return tuple(sorted(chosen, key=lambda e: order[e.value]))
+    return tuple(e for e in EstimatorId if e in chosen)
 
 
 class _Accumulator:
@@ -270,17 +283,14 @@ def _run_batches(
     for e in estimators:
         acc[e.value] = _Accumulator()
 
-    yc = np.asarray(pop.y, dtype=np.float64) - true_mean  # centred for stable sums
-    phi_f = np.asarray(pop.phi, dtype=np.float64)
+    yc = pop.y - true_mean  # centred for stable sums
+    ycphi = yc * pop.phi
 
     for start, idx in batches:
         rows = idx.shape[0]
-        ys_c = yc[idx]
-        phs = phi_f[idx]
-        ybar_c = ys_c.mean(axis=1)
-        a = phs.sum(axis=1)
-        p = a / n
-        degenerate = (a == 0.0) | (a == n)
+        a = pop.phi[idx].sum(axis=1)
+        sum_yc = yc[idx].sum(axis=1)
+        degenerate = (a == 0) | (a == n)
 
         if policy == "error" and estimators and degenerate.any():
             first = start + int(np.argmax(degenerate))
@@ -289,53 +299,42 @@ def _run_batches(
             )
         valid = ~degenerate
 
+        ybar_c = sum_yc / n
         acc["mean"].add(ybar_c, 0)
 
         if not estimators:
             continue
         assert params is not None
         P = params.P
+        p = a / n
         ybar = true_mean + ybar_c
+        sum_ycphi = ycphi[idx].sum(axis=1)
 
-        b = None
-        if resolved:
-            s_phi2 = (a - n * p * p) / (n - 1)
-            s_yphi = ((ys_c * phs).sum(axis=1) - n * ybar_c * p) / (n - 1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                b = np.where(valid, s_yphi / np.where(s_phi2 > 0.0, s_phi2, 1.0), 0.0)
-
-        for e in estimators:
-            if e is EstimatorId.NG:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    vals = np.where(p == P, ybar, (ybar / np.where(p > 0.0, p, 1.0)) * P)
-                mask = valid
-            else:
-                m1, m2 = resolved[e]
-                den = m1 * p + m2
-                den_ok = den != 0.0
-                if policy == "error" and not bool(den_ok[valid].all()):
-                    first = start + int(np.argmax(valid & ~den_ok))
-                    raise DegenerateSampleError(
-                        f"zero denominator for {e.value}", replicate=first
-                    )
-                mask = valid & den_ok
-                num = ybar + b * (P - p)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    vals = np.where(p == P, ybar, num / np.where(den_ok, den, 1.0) * (m1 * P + m2))
-            acc[e.value].add(vals[mask] - true_mean, rows - int(mask.sum()))
+        # Degenerate rows divide by zero in b_phi and in ratio_estimate, and
+        # zero-denominator rows in family_estimate; the masks below drop
+        # both before accumulation.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b_phi = sum_ycphi / a - (sum_yc - sum_ycphi) / (n - a)
+            for e in estimators:
+                if e is EstimatorId.NG:
+                    vals = ratio_estimate(ybar, p, P)
+                    mask = valid
+                else:
+                    m1, m2 = resolved[e]
+                    den_ok = m1 * p + m2 != 0.0
+                    if policy == "error" and not bool(den_ok[valid].all()):
+                        first = start + int(np.argmax(valid & ~den_ok))
+                        raise DegenerateSampleError(
+                            f"zero denominator for {e.value}", replicate=first
+                        )
+                    mask = valid & den_ok
+                    vals = family_estimate(ybar, p, P, b_phi, m1, m2)
+                acc[e.value].add(vals[mask] - true_mean, rows - int(mask.sum()))
 
     mean_row = acc["mean"].summarize("mean", true_mean, None)
     mean_mse = mean_row.empirical_mse if mean_row.effective_replicates else None
     if mean_mse is not None and mean_mse > 0.0:
-        mean_row = EstimatorSummary(
-            "mean",
-            mean_row.empirical_mean,
-            mean_row.empirical_bias,
-            mean_row.empirical_mse,
-            100.0,
-            0,
-            mean_row.effective_replicates,
-        )
+        mean_row = replace(mean_row, empirical_pre=100.0)
     rows_out = [mean_row]
     rows_out.extend(acc[e.value].summarize(e.value, true_mean, mean_mse) for e in estimators)
     return SimResult(rows=tuple(rows_out), n=n, samples=total, true_mean=true_mean, mode=mode)

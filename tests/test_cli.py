@@ -155,6 +155,17 @@ class TestPre:
         code, _, err = run(capsys, "pre", "--moments", VILLAGE_MOMENTS, "--n", "90")
         assert code == 2
 
+    def test_nonpositive_n_rejected_without_population_size(self, capsys):
+        code, _, err = run(capsys, "pre", "--moments", "Ybar=3.36,P=0.1236,rho=0.766,Cy=0.604,Cp=2.19", "--n", "-5")
+        assert code == 2
+        assert "--n must be at least 1" in err
+
+    def test_non_finite_moment_names_field(self, capsys):
+        code, out, err = run(capsys, "pre", "--moments", VILLAGE_MOMENTS + ",beta2=nan", "--n", "23")
+        assert code == 2
+        assert out == ""
+        assert "beta2_phi must be finite" in err
+
 
 class TestEstimate:
     def test_zero_proportion_sample_reports_reason(self, capsys, pop4):
@@ -194,6 +205,11 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", "--input", pop4, "--sample", "2,2")
         assert code == 2
         assert "distinct" in err
+
+    def test_zero_n_reports_size_error(self, capsys, pop4):
+        code, _, err = run(capsys, "estimate", "--input", pop4, "--n", "0")
+        assert code == 2
+        assert "sample size must satisfy 2 <= n <= 4, got 0" in err
 
     def test_out_of_range_index_rejected(self, capsys, pop4):
         code, _, err = run(capsys, "estimate", "--input", pop4, "--sample", "0,3")

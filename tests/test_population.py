@@ -191,6 +191,22 @@ class TestParamsFromMoments:
         with pytest.raises(InvalidMomentsError):
             params_from_moments(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("Ybar", math.inf),
+            ("C_y", math.inf),
+            ("C_p", math.inf),
+            ("beta2_phi", math.nan),
+            ("beta2_phi", -math.inf),
+        ],
+    )
+    def test_non_finite_rejected_naming_field(self, field, value):
+        kwargs = dict(Ybar=3.36, P=0.1236, rho_pb=0.766, C_y=0.604, C_p=2.19, beta2_phi=6.2, N=89)
+        kwargs[field] = value
+        with pytest.raises(InvalidMomentsError, match=f"^{field} must be finite"):
+            params_from_moments(**kwargs)
+
     @given(
         st.integers(min_value=5, max_value=50),
         st.integers(min_value=1, max_value=4),

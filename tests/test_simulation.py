@@ -141,20 +141,24 @@ class TestEnumerateFourUnits:
 
 class TestEnumerateGeneral:
     def test_matches_scalar_brute_force(self):
+        # The second population has P = 0.4, so its 5-subsets holding two
+        # attribute units hit the p == P collapse.
         rng = np.random.default_rng(77)
-        y = rng.normal(12.0, 4.0, 9)
-        phi = np.array([1, 1, 1, 1, 0, 0, 0, 0, 0])
-        pop = FinitePopulation(y=y, phi=phi)
-        wanted = [EstimatorId.NG, EstimatorId.T1, EstimatorId.T2, EstimatorId.T6, EstimatorId.T10]
-        oracle = brute_force_rows(pop, 3, wanted)
-        result = enumerate_all_samples(pop, 3, wanted)
-        for estimator in wanted:
-            row = result.row(estimator)
-            expected = oracle[estimator.value]
-            assert row.empirical_mean == pytest.approx(expected["mean"], rel=1e-12)
-            assert row.empirical_mse == pytest.approx(expected["mse"], rel=1e-12)
-            assert row.degenerate_count == expected["skipped"]
-            assert row.effective_replicates == expected["kept"]
+        cases = [
+            (FinitePopulation(y=rng.normal(12.0, 4.0, 9), phi=np.array([1] * 4 + [0] * 5)), 3),
+            (FinitePopulation(y=rng.normal(12.0, 4.0, 10), phi=np.array([1] * 4 + [0] * 6)), 5),
+        ]
+        wanted = list(EstimatorId)
+        for pop, n in cases:
+            oracle = brute_force_rows(pop, n, wanted)
+            result = enumerate_all_samples(pop, n, wanted)
+            for estimator in wanted:
+                row = result.row(estimator)
+                expected = oracle[estimator.value]
+                assert row.empirical_mean == pytest.approx(expected["mean"], rel=1e-12)
+                assert row.empirical_mse == pytest.approx(expected["mse"], rel=1e-12)
+                assert row.degenerate_count == expected["skipped"]
+                assert row.effective_replicates == expected["kept"]
 
     def test_skip_accounting_hypergeometric(self):
         # Degenerate subsets are exactly those drawn entirely inside or
