@@ -42,6 +42,7 @@ from .estimators import (
 from .population import (
     FinitePopulation,
     PopulationParams,
+    bernoulli_kurtosis,
     compute_params,
     load_population,
     params_from_moments,
@@ -189,6 +190,22 @@ def _load_params_source(args: argparse.Namespace) -> tuple[PopulationParams, dic
     raise CliError("one of --input or --moments is required")
 
 
+def _beta2_warnings(params: PopulationParams, beta2_source: str) -> list[str]:
+    """Warn when a given attribute kurtosis cannot come from a 0/1 attribute."""
+    if beta2_source != "given":
+        return []
+    beta2 = params.beta2_phi
+    binary = bernoulli_kurtosis(params.P)
+    if beta2 < 1.0:
+        return [f"beta2 = {beta2:g} is below 1, which no distribution has"]
+    if abs(beta2 - binary) > 0.01 * binary:
+        return [
+            f"beta2 = {beta2:g} differs by more than 1% from {binary:g}, the kurtosis "
+            f"(1-3PQ)/(PQ) of a 0/1 attribute with P = {params.P:g}"
+        ]
+    return []
+
+
 def _load_population_source(args: argparse.Namespace, seed: int) -> tuple[FinitePopulation, dict[str, Any]]:
     if getattr(args, "input", None) and getattr(args, "synth", None):
         raise CliError("give exactly one of --input or --synth")
@@ -253,13 +270,13 @@ def _cmd_params(args: argparse.Namespace) -> int:
     results = {"params": params_map, "beta2_source": beta2_source}
     header = list(params_map) + ["beta2_source"]
     row = list(params_map.values()) + [beta2_source]
-    _emit(args, "params", echo, results, [], (header, [row]))
+    _emit(args, "params", echo, results, _beta2_warnings(params, beta2_source), (header, [row]))
     return EXIT_OK
 
 
 def _cmd_pre(args: argparse.Namespace) -> int:
-    params, echo, _ = _load_params_source(args)
-    warnings: list[str] = []
+    params, echo, beta2_source = _load_params_source(args)
+    warnings = _beta2_warnings(params, beta2_source)
     n = args.n
     if n is not None and n < 1:
         raise CliError(f"--n must be at least 1, got {n}")

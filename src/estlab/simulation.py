@@ -8,13 +8,17 @@ relative efficiency against the sample mean.  Enumeration visits every
 n-subset exactly once, so its numbers are exact design expectations (over
 the non-degenerate samples); Monte Carlo replicates independent draws.
 
-The kernel reduces each sample to three sums: the attribute count ``a``,
-``sum y`` and ``sum y*phi``, with y centred at the population mean.  On a
-0/1 attribute the sample regression slope is the difference of group means,
-``b_phi = ybar1 - ybar0``, so these sums determine every estimator.  The
-estimates themselves come from :func:`~estlab.estimators.ratio_estimate`
-and :func:`~estlab.estimators.family_estimate`, the same functions the
-scalar estimators use.
+The kernel reads each sample only through three sums: the attribute count
+``a``, ``sum y`` and ``sum y*phi``, with y centred at the population mean.
+On a 0/1 attribute the sample regression slope is the difference of group
+means, ``b_phi = ybar1 - ybar0``, so these sums determine every estimator.
+The estimates themselves come from
+:func:`~estlab.estimators.ratio_estimate` and
+:func:`~estlab.estimators.family_estimate`, the same functions the scalar
+estimators use.  Monte Carlo gathers the sums of each drawn sample from its
+unit indices.  Enumeration lists no subset's units: it builds the sums of
+all k-subsets from those of the (k-1)-subsets, level by level up to n, in
+the lexicographic order of :func:`itertools.combinations`.
 
 Degenerate samples and the skip policy
 --------------------------------------
@@ -43,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations, islice
 from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
@@ -257,21 +260,30 @@ class _Accumulator:
         )
 
 
+def _unit_columns(pop: FinitePopulation) -> tuple[float, np.ndarray]:
+    """The population mean and the (3, N) unit columns ``phi``, ``y - Ybar``
+    and ``(y - Ybar)*phi``, whose per-sample sums feed the kernel."""
+    true_mean = float(pop.y.mean())
+    yc = pop.y - true_mean  # centred for stable sums
+    return true_mean, np.stack([pop.phi, yc, yc * pop.phi])
+
+
 def _run_batches(
     pop: FinitePopulation,
     n: int,
     estimators: tuple[EstimatorId, ...],
     policy: DegeneratePolicy,
-    batches: Iterator[tuple[int, np.ndarray]],
+    true_mean: float,
+    batches: Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]],
     total: int,
     mode: str,
 ) -> SimResult:
     """Evaluate the sample-mean benchmark plus the requested estimators.
 
-    ``batches`` yields (start_index, index_matrix) pairs in sample order;
-    each matrix row is one n-subset of unit indices.
+    ``batches`` yields (start_index, a, sum_yc, sum_ycphi) in sample order:
+    per sample, the attribute count and the sums of ``y - true_mean`` and
+    ``(y - true_mean)*phi``.
     """
-    true_mean = float(pop.y.mean())
     params: PopulationParams | None = compute_params(pop) if estimators else None
     resolved = {
         e: resolve_form(FAMILY_FORMS[e], params)
@@ -283,13 +295,8 @@ def _run_batches(
     for e in estimators:
         acc[e.value] = _Accumulator()
 
-    yc = pop.y - true_mean  # centred for stable sums
-    ycphi = yc * pop.phi
-
-    for start, idx in batches:
-        rows = idx.shape[0]
-        a = pop.phi[idx].sum(axis=1)
-        sum_yc = yc[idx].sum(axis=1)
+    for start, a, sum_yc, sum_ycphi in batches:
+        rows = a.shape[0]
         degenerate = (a == 0) | (a == n)
 
         if policy == "error" and estimators and degenerate.any():
@@ -308,7 +315,6 @@ def _run_batches(
         P = params.P
         p = a / n
         ybar = true_mean + ybar_c
-        sum_ycphi = ycphi[idx].sum(axis=1)
 
         # Degenerate rows divide by zero in b_phi and in ratio_estimate, and
         # zero-denominator rows in family_estimate; the masks below drop
@@ -340,15 +346,27 @@ def _run_batches(
     return SimResult(rows=tuple(rows_out), n=n, samples=total, true_mean=true_mean, mode=mode)
 
 
-def _combination_batches(N: int, n: int, batch_rows: int) -> Iterator[tuple[int, np.ndarray]]:
-    it = combinations(range(N), n)
-    start = 0
-    while True:
-        chunk = list(islice(it, batch_rows))
-        if not chunk:
-            return
-        yield start, np.array(chunk, dtype=np.intp)
-        start += len(chunk)
+def _combination_batches(
+    cols: np.ndarray, n: int, batch_rows: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Column sums of every n-subset of the units, in lexicographic order.
+
+    Level k holds the sums of every k-subset of the last N - n + k units.
+    Its subsets starting at unit j are unit j joined to the (k-1)-subsets of
+    the units after j, which are the last C(N-1-j, k-1) rows of level k - 1.
+    """
+    N = cols.shape[1]
+    level = np.zeros((3, 1))
+    for k in range(1, n + 1):
+        out = np.empty((3, math.comb(N - n + k, k)))
+        pos = 0
+        for j in range(n - k, N - k + 1):
+            tail = math.comb(N - 1 - j, k - 1)
+            np.add(level[:, -tail:], cols[:, j : j + 1], out=out[:, pos : pos + tail])
+            pos += tail
+        level = out
+    for start in range(0, level.shape[1], batch_rows):
+        yield start, *level[:, start : start + batch_rows]
 
 
 def enumerate_all_samples(
@@ -361,7 +379,9 @@ def enumerate_all_samples(
 
     The reported means, biases and MSEs are exact design expectations over
     the evaluated samples.  Refuses to run when C(N, n) exceeds
-    ``ENUMERATION_GUARD``.
+    ``ENUMERATION_GUARD``.  The per-subset sums are held in memory: 24
+    bytes per subset, plus 24 bytes per (n-1)-subset of the last N - 1
+    units while they are built, which is n/N as many again.
     """
     if not 2 <= n < pop.N:
         raise InvalidSampleSizeError(f"enumeration needs 2 <= n < {pop.N}, got {n}")
@@ -372,20 +392,24 @@ def enumerate_all_samples(
         )
     chosen = _normalize_estimators(estimators)
     batch_rows = max(1, _BATCH_ELEMENTS // max(n, 1))
+    true_mean, cols = _unit_columns(pop)
     return _run_batches(
         pop,
         n,
         chosen,
         degenerate_policy,
-        _combination_batches(pop.N, n, batch_rows),
+        true_mean,
+        _combination_batches(cols, n, batch_rows),
         total,
         "enumerate",
     )
 
 
 def _replicate_batches(
-    N: int, n: int, seed: int, replicates: int, batch_rows: int
-) -> Iterator[tuple[int, np.ndarray]]:
+    cols: np.ndarray, n: int, seed: int, replicates: int, batch_rows: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    N = cols.shape[1]
+    phi, yc, ycphi = cols
     blocks_per_rep = -(-N // 4)  # Philox advances in blocks of four 64-bit draws
     stride = 4 * blocks_per_rep
     start = 0
@@ -394,7 +418,8 @@ def _replicate_batches(
         bits = np.random.Philox(key=seed)
         bits.advance(start * blocks_per_rep)
         u = np.random.Generator(bits).random((count, stride))[:, :N]
-        yield start, np.argpartition(u, n - 1, axis=1)[:, :n]
+        idx = np.argpartition(u, n - 1, axis=1)[:, :n]
+        yield start, phi[idx].sum(axis=1), yc[idx].sum(axis=1), ycphi[idx].sum(axis=1)
         start += count
 
 
@@ -413,12 +438,16 @@ def monte_carlo(
         )
     if batch_rows is None:
         batch_rows = max(1, _BATCH_ELEMENTS // pop.N)
+    elif batch_rows < 1:
+        raise ValueError(f"batch_rows must be at least 1, got {batch_rows}")
+    true_mean, cols = _unit_columns(pop)
     return _run_batches(
         pop,
         config.n,
         _normalize_estimators(config.estimators),
         config.degenerate_policy,
-        _replicate_batches(pop.N, config.n, config.seed, config.replicates, batch_rows),
+        true_mean,
+        _replicate_batches(cols, config.n, config.seed, config.replicates, batch_rows),
         config.replicates,
         "monte_carlo",
     )

@@ -58,6 +58,19 @@ class TestParams:
         assert envelope["results"]["beta2_source"] == "given"
         assert envelope["results"]["params"]["beta2_phi"] == 6.23181
 
+    def test_given_beta2_checked_against_binary_kurtosis(self, capsys):
+        # A 0/1 attribute has beta2 = (1-3PQ)/(PQ); no distribution has beta2 < 1.
+        P = 0.1236
+        closed_form = (1 - 3 * P * (1 - P)) / (P * (1 - P))
+        for command, extra in (("params", ()), ("pre", ("--n", "23"))):
+            bad = run_json(capsys, command, "--moments", VILLAGE_MOMENTS + ",beta2=-3", *extra)
+            assert list(bad) == ["command", "inputs", "results", "warnings"]
+            assert any("beta2 = -3 is below 1" in w for w in bad["warnings"])
+            far = run_json(capsys, command, "--moments", VILLAGE_MOMENTS + ",beta2=9", *extra)
+            assert any("differs by more than 1%" in w for w in far["warnings"])
+            good = run_json(capsys, command, "--moments", VILLAGE_MOMENTS + f",beta2={closed_form!r}", *extra)
+            assert not any("beta2" in w for w in good["warnings"])
+
     def test_input_path_hand_values(self, capsys, pop4):
         envelope = run_json(capsys, "params", "--input", pop4)
         params = envelope["results"]["params"]

@@ -142,11 +142,15 @@ class TestEnumerateFourUnits:
 class TestEnumerateGeneral:
     def test_matches_scalar_brute_force(self):
         # The second population has P = 0.4, so its 5-subsets holding two
-        # attribute units hit the p == P collapse.
+        # attribute units hit the p == P collapse.  The last two are the edge
+        # shapes of the subset-sum recursion: n = N - 1 builds every level
+        # from two pieces, and n = 2 at N = 40 builds the top level from 39.
         rng = np.random.default_rng(77)
         cases = [
             (FinitePopulation(y=rng.normal(12.0, 4.0, 9), phi=np.array([1] * 4 + [0] * 5)), 3),
             (FinitePopulation(y=rng.normal(12.0, 4.0, 10), phi=np.array([1] * 4 + [0] * 6)), 5),
+            (FinitePopulation(y=rng.normal(12.0, 4.0, 9), phi=np.array([0, 1] * 4 + [1])), 8),
+            (FinitePopulation(y=rng.normal(12.0, 4.0, 40), phi=np.array([1] * 13 + [0] * 27)), 2),
         ]
         wanted = list(EstimatorId)
         for pop, n in cases:
@@ -189,6 +193,17 @@ class TestEnumerateGeneral:
             enumerate_all_samples(FOUR_UNITS, 2, [EstimatorId.NG], degenerate_policy="error")
         assert excinfo.value.replicate == 0  # subset (1,2) comes first
 
+    def test_error_policy_index_follows_lexicographic_order(self):
+        # The first constant-attribute pair, (0, 2), is subset 1 in
+        # itertools.combinations order, after (0, 1).
+        pop = FinitePopulation(y=np.arange(6, dtype=float), phi=np.array([1, 0, 1, 0, 0, 0]))
+        subsets = list(combinations(range(pop.N), 2))
+        first = next(i for i, s in enumerate(subsets) if len({int(pop.phi[j]) for j in s}) == 1)
+        assert first == 1
+        with pytest.raises(DegenerateSampleError) as excinfo:
+            enumerate_all_samples(pop, 2, [EstimatorId.NG], degenerate_policy="error")
+        assert excinfo.value.replicate == first
+
     def test_error_policy_ignores_mean_only_runs(self):
         result = enumerate_all_samples(FOUR_UNITS, 2, [], degenerate_policy="error")
         assert result.row("mean").effective_replicates == 6
@@ -218,6 +233,12 @@ class TestMonteCarlo:
             assert a.effective_replicates == b.effective_replicates
             assert a.empirical_mse == pytest.approx(b.empirical_mse, rel=1e-12)
             assert a.empirical_bias == pytest.approx(b.empirical_bias, rel=1e-9, abs=1e-12)
+
+    def test_batch_rows_below_one_rejected(self):
+        pop = synthesize_population(SyntheticSpec(N=20, P_target=0.3))
+        for rows in (0, -3):
+            with pytest.raises(ValueError, match=f"batch_rows must be at least 1, got {rows}"):
+                monte_carlo(pop, SimConfig(n=5, replicates=10), batch_rows=rows)
 
     def test_first_replicate_matches_single_draw(self):
         # Replicate i is a pure function of (seed, i); replicate 0 must agree
