@@ -46,7 +46,6 @@ from .population import (
     compute_params,
     load_population,
     params_from_moments,
-    variance_sample_mean,
 )
 from .simulation import (
     SimConfig,
@@ -62,9 +61,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 EXIT_GUARD = 4
-
-_ESTIMATOR_TOKENS = ("mean",) + tuple(e.value for e in EstimatorId)
-
 
 class CliError(Exception):
     """Validation failure that should exit with a usage error code."""
@@ -110,7 +106,7 @@ def _parse_estimators(text: str | None) -> tuple[bool, tuple[EstimatorId, ...]]:
                 ids.append(member)
         else:
             raise CliError(
-                f"unknown estimator {token!r} (allowed: {', '.join(_ESTIMATOR_TOKENS)})"
+                f"unknown estimator {token!r} (allowed: {', '.join(theory.DISPLAY_ORDER)})"
             )
     if not include_mean and not ids:
         raise CliError("estimator list is empty")
@@ -190,20 +186,27 @@ def _load_params_source(args: argparse.Namespace) -> tuple[PopulationParams, dic
     raise CliError("one of --input or --moments is required")
 
 
-def _beta2_warnings(params: PopulationParams, beta2_source: str) -> list[str]:
-    """Warn when a given attribute kurtosis cannot come from a 0/1 attribute."""
-    if beta2_source != "given":
-        return []
-    beta2 = params.beta2_phi
-    binary = bernoulli_kurtosis(params.P)
-    if beta2 < 1.0:
-        return [f"beta2 = {beta2:g} is below 1, which no distribution has"]
-    if abs(beta2 - binary) > 0.01 * binary:
-        return [
-            f"beta2 = {beta2:g} differs by more than 1% from {binary:g}, the kurtosis "
-            f"(1-3PQ)/(PQ) of a 0/1 attribute with P = {params.P:g}"
-        ]
-    return []
+def _moment_warnings(params: PopulationParams, beta2_source: str) -> list[str]:
+    """Warn when a given kurtosis, or C_p at a known N, cannot come from a 0/1 attribute."""
+    warnings: list[str] = []
+    if beta2_source == "given":
+        beta2 = params.beta2_phi
+        binary = bernoulli_kurtosis(params.P)
+        if beta2 < 1.0:
+            warnings.append(f"beta2 = {beta2:g} is below 1, which no distribution has")
+        elif abs(beta2 - binary) > 0.01 * binary:
+            warnings.append(
+                f"beta2 = {beta2:g} differs by more than 1% from {binary:g}, the kurtosis "
+                f"(1-3PQ)/(PQ) of a 0/1 attribute with P = {params.P:g}"
+            )
+    if params.N is not None:
+        binary = math.sqrt(params.N * params.Q / ((params.N - 1) * params.P))
+        if abs(params.C_p - binary) > 0.01 * binary:
+            warnings.append(
+                f"C_p = {params.C_p:g} is more than 1% away from {binary:g}, the value "
+                f"sqrt(N*Q/((N-1)*P)) of a 0/1 attribute with P = {params.P:g} and N = {params.N}"
+            )
+    return warnings
 
 
 def _load_population_source(args: argparse.Namespace, seed: int) -> tuple[FinitePopulation, dict[str, Any]]:
@@ -270,13 +273,13 @@ def _cmd_params(args: argparse.Namespace) -> int:
     results = {"params": params_map, "beta2_source": beta2_source}
     header = list(params_map) + ["beta2_source"]
     row = list(params_map.values()) + [beta2_source]
-    _emit(args, "params", echo, results, _beta2_warnings(params, beta2_source), (header, [row]))
+    _emit(args, "params", echo, results, _moment_warnings(params, beta2_source), (header, [row]))
     return EXIT_OK
 
 
 def _cmd_pre(args: argparse.Namespace) -> int:
     params, echo, beta2_source = _load_params_source(args)
-    warnings = _beta2_warnings(params, beta2_source)
+    warnings = _moment_warnings(params, beta2_source)
     n = args.n
     if n is not None and n < 1:
         raise CliError(f"--n must be at least 1, got {n}")
@@ -297,7 +300,7 @@ def _cmd_pre(args: argparse.Namespace) -> int:
 
     mse_by_label: dict[str, float | None] = {label: None for label in pre_by_label}
     if n is not None and params.N is not None:
-        mse_by_label["mean"] = variance_sample_mean(params, n)
+        mse_by_label["mean"] = theory.variance_sample_mean(params, n)
         for e in EstimatorId:
             if pre_by_label[e.value] is not None:
                 mse_by_label[e.value] = theory.mse_report(params, n, e).mse
@@ -428,11 +431,9 @@ def _sim_results(
         if row.estimator == "mean" and not include_mean:
             continue
         if row.estimator == "mean":
-            theoretical = variance_sample_mean(params, result.n)
-        elif row.estimator == "ng":
-            theoretical = theory.mse_naik_gupta(params, result.n)
+            theoretical = theory.variance_sample_mean(params, result.n)
         else:
-            theoretical = theory.mse_proposed(params, result.n, EstimatorId(row.estimator))
+            theoretical = theory.mse_report(params, result.n, EstimatorId(row.estimator)).mse
         rel_err = (
             (row.empirical_mse - theoretical) / theoretical
             if theoretical > 0.0 and math.isfinite(row.empirical_mse)
@@ -535,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", metavar="IDX", help="comma-separated 1-based unit indices")
     p.add_argument("--n", type=int, help="draw a seeded sample of this size instead")
     p.add_argument("--seed", type=int, help="seed for --n (default: ESTLAB_SEED or 0)")
-    p.add_argument("--estimators", metavar="LIST", help="comma-separated subset of " + ",".join(_ESTIMATOR_TOKENS))
+    p.add_argument("--estimators", metavar="LIST", help="comma-separated subset of " + ",".join(theory.DISPLAY_ORDER))
     _add_common(p)
     p.set_defaults(func=_cmd_estimate)
 

@@ -43,13 +43,11 @@ __all__ = [
     "SampleData",
     "SampleStats",
     "Symbol",
-    "adjusted_ratio",
     "compute_sample_stats",
     "estimate_general",
     "estimate_naik_gupta",
     "estimate_named",
     "resolve_form",
-    "resolve_param",
 ]
 
 
@@ -172,7 +170,7 @@ def compute_sample_stats(sample: SampleData) -> SampleStats:
     return SampleStats(ybar=ybar, p=p, s_phi2=s_phi2, s_yphi=s_yphi, b_phi=b_phi)
 
 
-def resolve_param(value: ParamValue, params: PopulationParams) -> float:
+def _resolve_param(value: ParamValue, params: PopulationParams) -> float:
     """Resolve a form constant to a number, looking symbols up in ``params``."""
     if isinstance(value, Symbol):
         return float(getattr(params, value.value))
@@ -181,8 +179,8 @@ def resolve_param(value: ParamValue, params: PopulationParams) -> float:
 
 def resolve_form(form: EstimatorForm, params: PopulationParams) -> tuple[float, float]:
     """Resolve (m1, m2) against population constants; m1 must be nonzero."""
-    m1 = resolve_param(form.m1, params)
-    m2 = resolve_param(form.m2, params)
+    m1 = _resolve_param(form.m1, params)
+    m2 = _resolve_param(form.m2, params)
     if m1 == 0.0:
         raise UndefinedConstantError("m1 resolved to zero; the family requires m1 != 0")
     return m1, m2
@@ -221,21 +219,6 @@ def estimate_naik_gupta(stats: SampleStats, P: float) -> float:
     if stats.p == 0.0:
         raise UndefinedEstimateError("zero sample proportion")
     return float(ratio_estimate(stats.ybar, stats.p, P))
-
-
-def adjusted_ratio(stats: SampleStats, P: float) -> float:
-    """Regression-adjusted ratio (ybar + b_phi*(P - p)) / p.
-
-    This is the intermediate the shift-free member t1 rescales by P.
-    """
-    if stats.p == 0.0:
-        raise UndefinedEstimateError("zero sample proportion")
-    b_phi = stats.b_phi
-    if b_phi is None:
-        if stats.p != P:
-            raise DegenerateSampleError("b_phi undefined on this sample (constant attribute)")
-        b_phi = 0.0
-    return (stats.ybar + b_phi * (P - stats.p)) / stats.p
 
 
 def estimate_general(

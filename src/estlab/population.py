@@ -13,6 +13,8 @@ error theory, simulation) consumes the derived :class:`PopulationParams`:
 
 Parameters can also be reconstructed from published summary moments via
 :func:`params_from_moments`, for datasets where only the moments survive.
+Quantities that depend on the sample size, such as the design variance of
+the sample mean, live in :mod:`estlab.theory`.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ import numpy as np
 from .errors import (
     DegeneratePopulationError,
     InvalidMomentsError,
-    InvalidSampleSizeError,
-    MissingPopulationSizeError,
     PopulationParseError,
 )
 
@@ -39,7 +39,6 @@ __all__ = [
     "compute_params",
     "load_population",
     "params_from_moments",
-    "variance_sample_mean",
 ]
 
 
@@ -281,16 +280,3 @@ def params_from_moments(
         N=int(N) if N is not None else None,
     )
 
-
-def variance_sample_mean(params: PopulationParams, n: int) -> float:
-    """Design variance of the sample mean under SRSWOR: ((1-f)/n) * S_y2.
-
-    ``f = n/N`` is the sampling fraction, so a census (n = N) gives zero.
-    Requires a known population size.
-    """
-    if params.N is None:
-        raise MissingPopulationSizeError("variance of the sample mean needs the population size N")
-    if not 1 <= n <= params.N:
-        raise InvalidSampleSizeError(f"sample size must satisfy 1 <= n <= {params.N}, got {n}")
-    f = n / params.N
-    return (1.0 - f) / n * params.S_y2

@@ -95,6 +95,11 @@ _MAX_SEED = 2**64 - 1
 _BATCH_ELEMENTS = 4_000_000
 
 
+def _check_policy(policy: str) -> None:
+    if policy not in ("skip", "error"):
+        raise ValueError(f"policy must be 'skip' or 'error', got {policy!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Monte Carlo run configuration.
@@ -115,8 +120,7 @@ class SimConfig:
             raise ValueError(f"replicates must be at least 1, got {self.replicates}")
         if not 0 <= self.seed <= _MAX_SEED:
             raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
-        if self.degenerate_policy not in ("skip", "error"):
-            raise ValueError(f"policy must be 'skip' or 'error', got {self.degenerate_policy!r}")
+        _check_policy(self.degenerate_policy)
         object.__setattr__(self, "estimators", tuple(EstimatorId(e) for e in self.estimators))
 
 
@@ -383,6 +387,7 @@ def enumerate_all_samples(
     bytes per subset, plus 24 bytes per (n-1)-subset of the last N - 1
     units while they are built, which is n/N as many again.
     """
+    _check_policy(degenerate_policy)
     if not 2 <= n < pop.N:
         raise InvalidSampleSizeError(f"enumeration needs 2 <= n < {pop.N}, got {n}")
     total = math.comb(pop.N, n)

@@ -1,7 +1,9 @@
 """First-order mean squared error theory for the estimator family.
 
 All results are design-based under SRSWOR and truncated at the first order
-of a Taylor expansion in (p - P, ybar - Ybar).  Writing fpc = (1 - n/N)/n:
+of a Taylor expansion in (p - P, ybar - Ybar).  Writing fpc = (1 - n/N)/n,
+which is computed, and n checked against N, in one place for every
+quantity below:
 
 * variance of the sample mean:      V(ybar) = fpc * S_y2
 * plain ratio estimator (NG):       MSE = fpc * (S_y2 + R1^2 S_phi2 - 2 R1 S_yphi)
@@ -25,7 +27,8 @@ factor of R1 on its correlation cross term, so the direct difference is
 authoritative and any sign disagreement is reported as a flag.
 
 Percent relative efficiency (PRE) is 100 * V(ybar) / MSE; the fpc factor
-cancels, so PRE needs neither n nor N.
+cancels, so PRE needs neither n nor N.  :func:`pre_vs_mean` and
+:func:`mse_report` share one choice between the NG and family expressions.
 """
 
 from __future__ import annotations
@@ -41,16 +44,13 @@ from .errors import (
     UndefinedPreError,
 )
 from .estimators import FAMILY_FORMS, EstimatorForm, EstimatorId, resolve_form
-from .population import PopulationParams, variance_sample_mean
+from .population import PopulationParams
 
 __all__ = [
     "DISPLAY_ORDER",
     "ComparisonResult",
-    "EfficiencyReport",
     "MseReport",
     "PreRow",
-    "RatioConstant",
-    "efficiency_report",
     "efficiency_vs_mean",
     "efficiency_vs_ng",
     "form_ratio_constant",
@@ -64,34 +64,25 @@ __all__ = [
     "pre_vs_mean",
     "rank_pre_rows",
     "ratio_constant",
-    "ratio_constants",
+    "variance_sample_mean",
 ]
 
 #: Fixed display order for efficiency tables: the sample mean first, then the
 #: plain ratio estimator, then the family members by index.
-DISPLAY_ORDER: tuple[str, ...] = ("mean", "ng") + tuple(f"t{i}" for i in range(1, 11))
-
-_FAMILY_IDS: tuple[EstimatorId, ...] = tuple(
-    e for e in EstimatorId if e is not EstimatorId.NG
-)
-
-
-@dataclass(frozen=True)
-class RatioConstant:
-    """A family member together with its resolved ratio constant."""
-
-    estimator: EstimatorId
-    value: float
+DISPLAY_ORDER: tuple[str, ...] = ("mean",) + tuple(e.value for e in EstimatorId)
 
 
 @dataclass(frozen=True)
 class MseReport:
-    """First-order MSE of one estimator at sample size n, with its PRE."""
+    """First-order MSE of one estimator at sample size n, with its PRE.
+
+    ``pre_vs_mean`` is None when the MSE is zero and the PRE is undefined.
+    """
 
     estimator: EstimatorId
     mse: float
     n: int
-    pre_vs_mean: float
+    pre_vs_mean: float | None
 
 
 @dataclass(frozen=True)
@@ -112,24 +103,6 @@ class ComparisonResult:
 
 
 @dataclass(frozen=True)
-class EfficiencyReport:
-    """Both efficiency comparisons for one family member.
-
-    ``ng_threshold_agrees`` is False when the classical correlation-threshold
-    statement of the comparison against the plain ratio estimator disagrees
-    in sign with the direct MSE difference (the difference is authoritative).
-    """
-
-    estimator: EstimatorId
-    beats_mean: bool
-    beats_ng: bool
-    margin_vs_mean: float
-    margin_vs_ng: float
-    k_yp: float
-    ng_threshold_agrees: bool
-
-
-@dataclass(frozen=True)
 class PreRow:
     """One row of a percent-relative-efficiency table."""
 
@@ -144,6 +117,15 @@ def _fpc(params: PopulationParams, n: int) -> float:
     if not 1 <= n <= params.N:
         raise InvalidSampleSizeError(f"sample size must satisfy 1 <= n <= {params.N}, got {n}")
     return (1.0 - n / params.N) / n
+
+
+def variance_sample_mean(params: PopulationParams, n: int) -> float:
+    """Design variance of the sample mean under SRSWOR: ((1-f)/n) * S_y2.
+
+    ``f = n/N`` is the sampling fraction, so a census (n = N) gives zero.
+    Requires a known population size.
+    """
+    return _fpc(params, n) * params.S_y2
 
 
 def form_ratio_constant(params: PopulationParams, form: EstimatorForm) -> float:
@@ -162,35 +144,33 @@ def ratio_constant(estimator: EstimatorId, params: PopulationParams) -> float:
     return form_ratio_constant(params, FAMILY_FORMS[estimator])
 
 
-def ratio_constants(params: PopulationParams) -> tuple[RatioConstant, ...]:
-    """Resolved ratio constants for every family member, in index order."""
-    return tuple(RatioConstant(e, ratio_constant(e, params)) for e in _FAMILY_IDS)
-
-
 def k_yp(params: PopulationParams) -> float:
     """Scaled correlation rho_pb * C_y / C_p used in the NG comparison."""
     return params.rho_pb * params.C_y / params.C_p
-
-
-def _unit_mse_ng(params: PopulationParams) -> float:
-    r1 = params.Ybar / params.P
-    return params.S_y2 + r1 * r1 * params.S_phi2 - 2.0 * r1 * params.S_yphi
 
 
 def _unit_mse_family(params: PopulationParams, ratio: float) -> float:
     return ratio * ratio * params.S_phi2 + params.S_y2 * (1.0 - params.rho_pb**2)
 
 
+def _unit_mse(params: PopulationParams, estimator: EstimatorId) -> float:
+    """MSE without the fpc factor; the one place NG and the family part ways."""
+    if estimator is EstimatorId.NG:
+        r1 = params.Ybar / params.P
+        return params.S_y2 + r1 * r1 * params.S_phi2 - 2.0 * r1 * params.S_yphi
+    return _unit_mse_family(params, ratio_constant(estimator, params))
+
+
 def mse_naik_gupta(params: PopulationParams, n: int) -> float:
     """First-order MSE of the plain ratio estimator ybar * P / p."""
-    return _fpc(params, n) * _unit_mse_ng(params)
+    return _fpc(params, n) * _unit_mse(params, EstimatorId.NG)
 
 
 def mse_proposed(params: PopulationParams, n: int, estimator: EstimatorId) -> float:
     """First-order MSE of a family member: fpc * (R^2 S_phi2 + S_y2 (1 - rho^2))."""
     if estimator is EstimatorId.NG:
         raise ValueError("use mse_naik_gupta for the plain ratio estimator")
-    return _fpc(params, n) * _unit_mse_family(params, ratio_constant(estimator, params))
+    return _fpc(params, n) * _unit_mse(params, estimator)
 
 
 def mse_from_linearization(params: PopulationParams, n: int, form: EstimatorForm) -> float:
@@ -233,10 +213,7 @@ def pre_vs_mean(
     """
     if n is not None and params.N is not None:
         _fpc(params, n)
-    if estimator is EstimatorId.NG:
-        unit_mse = _unit_mse_ng(params)
-    else:
-        unit_mse = _unit_mse_family(params, ratio_constant(estimator, params))
+    unit_mse = _unit_mse(params, estimator)
     if unit_mse == 0.0:
         raise UndefinedPreError(f"{estimator.value} has zero mean squared error")
     return 100.0 * params.S_y2 / unit_mse
@@ -275,7 +252,7 @@ def efficiency_vs_ng(params: PopulationParams, estimator: EstimatorId) -> Compar
         raise ValueError("the comparison is defined for the family members t1..t10")
     ratio = ratio_constant(estimator, params)
     r1 = params.Ybar / params.P
-    margin = _unit_mse_ng(params) - _unit_mse_family(params, ratio)
+    margin = _unit_mse(params, EstimatorId.NG) - _unit_mse_family(params, ratio)
     threshold_margin = params.rho_pb**2 - (params.S_phi2 / params.S_y2) * (
         ratio * ratio - r1 * r1 + 2.0 * r1 * k_yp(params)
     )
@@ -287,28 +264,14 @@ def efficiency_vs_ng(params: PopulationParams, estimator: EstimatorId) -> Compar
     )
 
 
-def efficiency_report(params: PopulationParams, estimator: EstimatorId) -> EfficiencyReport:
-    """Bundle both comparisons for one family member."""
-    vs_mean = efficiency_vs_mean(params, estimator)
-    vs_ng = efficiency_vs_ng(params, estimator)
-    return EfficiencyReport(
-        estimator=estimator,
-        beats_mean=vs_mean.beats,
-        beats_ng=vs_ng.beats,
-        margin_vs_mean=vs_mean.margin,
-        margin_vs_ng=vs_ng.margin,
-        k_yp=k_yp(params),
-        ng_threshold_agrees=vs_ng.threshold_agrees,
-    )
-
-
 def mse_report(params: PopulationParams, n: int, estimator: EstimatorId) -> MseReport:
-    """MSE and PRE of one estimator at sample size n."""
-    if estimator is EstimatorId.NG:
-        mse = mse_naik_gupta(params, n)
-    else:
-        mse = mse_proposed(params, n, estimator)
-    return MseReport(estimator=estimator, mse=mse, n=n, pre_vs_mean=pre_vs_mean(params, estimator, n))
+    """MSE and PRE of one estimator at sample size n; a zero MSE has no PRE."""
+    mse = _fpc(params, n) * _unit_mse(params, estimator)
+    try:
+        pre = pre_vs_mean(params, estimator)
+    except UndefinedPreError:
+        pre = None
+    return MseReport(estimator=estimator, mse=mse, n=n, pre_vs_mean=pre)
 
 
 def pre_table(params: PopulationParams, n: int | None = None) -> tuple[PreRow, ...]:
@@ -318,9 +281,8 @@ def pre_table(params: PopulationParams, n: int | None = None) -> tuple[PreRow, .
     plain ratio estimator, then t1..t10.  Rows are never sorted here; see
     :func:`rank_pre_rows` for the ranking view.
     """
-    rows = [PreRow("mean", 100.0), PreRow("ng", pre_vs_mean(params, EstimatorId.NG, n))]
-    rows.extend(PreRow(e.value, pre_vs_mean(params, e, n)) for e in _FAMILY_IDS)
-    return tuple(rows)
+    rows = (PreRow(e.value, pre_vs_mean(params, e, n)) for e in EstimatorId)
+    return (PreRow("mean", 100.0), *rows)
 
 
 def rank_pre_rows(rows: tuple[PreRow, ...]) -> tuple[PreRow, ...]:

@@ -71,6 +71,17 @@ class TestParams:
             good = run_json(capsys, command, "--moments", VILLAGE_MOMENTS + f",beta2={closed_form!r}", *extra)
             assert not any("beta2" in w for w in good["warnings"])
 
+    def test_given_cp_checked_against_binary_value(self, capsys, pop4):
+        # A 0/1 attribute has C_p = sqrt(N*Q/((N-1)*P)): 2.678 at P = 0.1236, N = 89.
+        without_n = VILLAGE_MOMENTS.replace(",N=89", "")
+        for command, villages_n, pop4_n in (("params", (), ()), ("pre", ("--n", "23"), ("--n", "2"))):
+            villages = run_json(capsys, command, "--moments", VILLAGE_MOMENTS, *villages_n)
+            assert any(w.startswith("C_p = 2.19 is more than 1% away from 2.67791") for w in villages["warnings"])
+            from_csv = run_json(capsys, command, "--input", pop4, *pop4_n)
+            assert not any("C_p" in w for w in from_csv["warnings"])
+            no_size = run_json(capsys, command, "--moments", without_n)
+            assert not any("C_p" in w for w in no_size["warnings"])
+
     def test_input_path_hand_values(self, capsys, pop4):
         envelope = run_json(capsys, "params", "--input", pop4)
         params = envelope["results"]["params"]

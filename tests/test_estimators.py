@@ -19,7 +19,6 @@ from estlab import (
     Symbol,
     UndefinedConstantError,
     UndefinedEstimateError,
-    adjusted_ratio,
     compute_sample_stats,
     estimate_general,
     estimate_naik_gupta,
@@ -88,7 +87,6 @@ class TestEstimateGeneral:
         stats = SampleStats(ybar=3.0, p=0.4, s_phi2=0.5, s_yphi=0.6, b_phi=1.2)
         value = estimate_general(stats, 0.5, EstimatorForm(1.0, 0.0), PARAMS)
         assert value == pytest.approx(3.9, rel=1e-15)
-        assert value == pytest.approx(adjusted_ratio(stats, 0.5) * 0.5, rel=1e-15)
 
     def test_zero_slope_matches_plain_ratio_bitwise(self):
         stats = SampleStats(ybar=3.0, p=0.4, s_phi2=0.5, s_yphi=0.0, b_phi=0.0)
@@ -202,12 +200,6 @@ def test_symbol_values_name_param_fields():
 
 def test_estimator_labels():
     assert [e.value for e in EstimatorId] == ["ng"] + [f"t{i}" for i in range(1, 11)]
-
-
-def test_adjusted_ratio_requires_positive_p():
-    stats = SampleStats(ybar=3.0, p=0.0, s_phi2=0.0, s_yphi=0.0, b_phi=None)
-    with pytest.raises(UndefinedEstimateError):
-        adjusted_ratio(stats, 0.5)
 
 
 def test_b_phi_definition_matches_ratio():

@@ -208,6 +208,11 @@ class TestEnumerateGeneral:
         result = enumerate_all_samples(FOUR_UNITS, 2, [], degenerate_policy="error")
         assert result.row("mean").effective_replicates == 6
 
+    def test_unknown_policy_rejected(self):
+        pop = FinitePopulation(y=np.arange(8, dtype=float), phi=np.array([1, 0, 0, 0, 0, 0, 0, 1]))
+        with pytest.raises(ValueError, match="policy must be 'skip' or 'error', got 'eror'"):
+            enumerate_all_samples(pop, 3, degenerate_policy="eror")
+
     def test_mse_dominates_squared_bias(self):
         rng = np.random.default_rng(21)
         pop = FinitePopulation(y=rng.normal(30.0, 5.0, 10), phi=np.array([1] * 3 + [0] * 7))

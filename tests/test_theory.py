@@ -9,11 +9,12 @@ from estlab import (
     FAMILY_FORMS,
     EstimatorForm,
     EstimatorId,
+    FinitePopulation,
     MissingPopulationSizeError,
     SampleStats,
     Symbol,
     UndefinedConstantError,
-    efficiency_report,
+    compute_params,
     efficiency_vs_mean,
     efficiency_vs_ng,
     estimate_general,
@@ -29,7 +30,6 @@ from estlab import (
     pre_vs_mean,
     rank_pre_rows,
     ratio_constant,
-    ratio_constants,
     variance_sample_mean,
 )
 
@@ -91,8 +91,9 @@ class TestRatioConstants:
             EstimatorId.T9: 3.36 * 6.23181 / (0.1236 * 6.23181 + 0.766),
             EstimatorId.T10: 3.36 * 0.766 / (0.1236 * 0.766 + 6.23181),
         }
-        for rc in ratio_constants(VILLAGES):
-            assert rc.value == pytest.approx(definitions[rc.estimator], rel=1e-12)
+        assert set(definitions) == set(FAMILY_FORMS)
+        for estimator, expected in definitions.items():
+            assert ratio_constant(estimator, VILLAGES) == pytest.approx(expected, rel=1e-12)
 
     def test_unit_proportion_limit(self):
         # With m1=1, m2=0 the constant is Ybar/P; at P -> 1 it approaches Ybar.
@@ -347,11 +348,11 @@ class TestEfficiencyPredicates:
             assert result.margin == pytest.approx((r1 * r1 - r * r) * params.S_phi2, rel=1e-10)
 
     def test_report_bundles_both_comparisons(self):
-        report = efficiency_report(VILLAGES, EstimatorId.T2)
-        assert report.beats_mean and report.beats_ng
-        assert report.k_yp == pytest.approx(0.766 * 0.604 / 2.19, rel=1e-14)
-        assert report.margin_vs_mean > 0 and report.margin_vs_ng > 0
-        assert report.ng_threshold_agrees is True
+        vs_mean = efficiency_vs_mean(VILLAGES, EstimatorId.T2)
+        vs_ng = efficiency_vs_ng(VILLAGES, EstimatorId.T2)
+        assert vs_mean.beats and vs_ng.beats
+        assert vs_mean.margin > 0 and vs_ng.margin > 0
+        assert vs_ng.threshold_agrees is True
 
 
 class TestTaylorResidualOrder:
@@ -386,6 +387,15 @@ def test_mse_report_consistency():
     )
     ng = mse_report(VILLAGES, 23, EstimatorId.NG)
     assert ng.mse == mse_naik_gupta(VILLAGES, 23)
+
+
+def test_mse_report_keeps_a_zero_mse_without_pre():
+    # y = phi makes y - (Ybar/P)*phi constant, so NG has zero first-order MSE.
+    phi = np.array([1, 0] * 10)
+    params = compute_params(FinitePopulation(y=phi.astype(float), phi=phi))
+    report = mse_report(params, 5, EstimatorId.NG)
+    assert report.mse == mse_naik_gupta(params, 5) == 0.0
+    assert report.pre_vs_mean is None
 
 
 def test_k_yp_definition():
