@@ -10,6 +10,8 @@ error theory, simulation) consumes the derived :class:`PopulationParams`:
 * ``rho_pb``    point-biserial correlation S_yphi / (S_y * S_phi)
 * ``C_y``, ``C_p``  coefficients of variation S_y/Ybar and S_phi/P
 * ``beta2_phi`` kurtosis of the attribute
+* ``Ybar0``     mean of y over the units without the attribute
+* ``S_e2``      within-group variance of y, divisor N-1: S_y2 (1 - rho_pb^2)
 
 Parameters can also be reconstructed from published summary moments via
 :func:`params_from_moments`, for datasets where only the moments survive.
@@ -112,6 +114,8 @@ class PopulationParams:
     C_y: float
     C_p: float
     beta2_phi: float
+    Ybar0: float
+    S_e2: float
     N: int | None = None
 
     @property
@@ -216,6 +220,9 @@ def compute_params(pop: FinitePopulation) -> PopulationParams:
     s_yphi = float(dev_y @ (pop.phi - p)) / (n_units - 1)
     s_y = math.sqrt(s_y2)
     s_phi = math.sqrt(s_phi2)
+    holds = pop.phi == 1
+    ybar0 = float(pop.y[~holds].mean())
+    dev_e = pop.y - np.where(holds, float(pop.y[holds].mean()), ybar0)
     return PopulationParams(
         Ybar=ybar,
         P=p,
@@ -227,6 +234,8 @@ def compute_params(pop: FinitePopulation) -> PopulationParams:
         C_y=s_y / ybar,
         C_p=s_phi / p,
         beta2_phi=bernoulli_kurtosis(p),
+        Ybar0=ybar0,
+        S_e2=float(dev_e @ dev_e) / (n_units - 1),
         N=n_units,
     )
 
@@ -242,7 +251,9 @@ def params_from_moments(
 ) -> PopulationParams:
     """Reconstruct population parameters from summary moments.
 
-    Rebuilds S_y = C_y*Ybar, S_phi = C_p*P and S_yphi = rho_pb*S_y*S_phi.
+    Rebuilds S_y = C_y*Ybar, S_phi = C_p*P and S_yphi = rho_pb*S_y*S_phi,
+    then Ybar0 = Ybar - P*B_phi and S_e2 = S_y2 (1 - rho_pb^2), which hold
+    for a 0/1 attribute.
     When ``beta2_phi`` is omitted it is filled in from the closed form
     (1-3PQ)/(PQ).  ``N`` may be omitted; operations that need the finite
     population correction will then refuse to run.  Every moment given must
@@ -266,17 +277,20 @@ def params_from_moments(
         raise InvalidMomentsError(f"N must be at least 2, got {N}")
     s_y = C_y * Ybar
     s_phi = C_p * P
+    s_yphi = rho_pb * s_y * s_phi
     return PopulationParams(
         Ybar=float(Ybar),
         P=float(P),
         Q=1.0 - float(P),
         S_y2=s_y * s_y,
         S_phi2=s_phi * s_phi,
-        S_yphi=rho_pb * s_y * s_phi,
+        S_yphi=s_yphi,
         rho_pb=float(rho_pb),
         C_y=float(C_y),
         C_p=float(C_p),
         beta2_phi=float(beta2_phi) if beta2_phi is not None else bernoulli_kurtosis(P),
+        Ybar0=float(Ybar) - P * (s_yphi / (s_phi * s_phi)),
+        S_e2=s_y * s_y * (1.0 - rho_pb * rho_pb),
         N=int(N) if N is not None else None,
     )
 

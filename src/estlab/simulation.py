@@ -36,9 +36,13 @@ Monte Carlo randomness comes from the counter-based Philox bit generator
 keyed by the configured seed.  Replicate i consumes a dedicated, block
 aligned slice of the keyed stream (one uniform deviate per population unit,
 padded to the four-draw block size), so every replicate is a pure function
-of (seed, replicate index): results do not depend on batch layout, thread
-count, or evaluation order.  Samples are aggregated in replicate-index
-order with exact summation over batch subtotals.  Synthetic-population
+of (seed, replicate index): which samples are drawn does not depend on
+batch layout, thread count, or evaluation order.  Chunks of replicates
+are drawn on up to four threads (the CPUs this process may use, at most
+4), but the estimators run on the calling thread over the chunks in
+replicate-index order, and the default chunk size depends only on N, so
+the output is bit-identical whatever the thread count.  Samples are
+aggregated with exact summation over chunk subtotals.  Synthetic-population
 noise uses the same keyed generator from a disjoint counter block, so a
 shared seed never reuses a stream.
 """
@@ -46,8 +50,10 @@ shared seed never reuses a stream.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Any, Callable, Generator, Iterable, Iterator, Literal, Sequence, TypeVar
 
 import numpy as np
 
@@ -91,8 +97,22 @@ _SYNTH_COUNTER_BLOCK = 1 << 128
 
 _MAX_SEED = 2**64 - 1
 
-#: Target element count of one batch of uniform deviates (about 32 MB).
+#: Target element count of the uniform deviates held at once (about 32 MB).
 _BATCH_ELEMENTS = 4_000_000
+
+
+def _worker_count() -> int:
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, 4)
+
+
+#: Threads that draw Monte Carlo chunks: the usable CPUs, at most 4.
+_WORKERS = _worker_count()
+
+_T = TypeVar("_T")
 
 
 def _check_policy(policy: str) -> None:
@@ -410,22 +430,89 @@ def enumerate_all_samples(
     )
 
 
+def _sample_chunk(
+    cols: np.ndarray, n: int, seed: int, start: int, count: int
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Draw replicates start .. start + count - 1 and return their column sums."""
+    N = cols.shape[1]
+    blocks_per_rep = -(-N // 4)  # Philox advances in blocks of four 64-bit draws
+    bits = np.random.Philox(key=seed)
+    bits.advance(start * blocks_per_rep)
+    u = np.random.Generator(bits).random((count, 4 * blocks_per_rep))[:, :N]
+    idx = np.argpartition(u, n - 1, axis=1)[:, :n]
+    phi, yc, ycphi = cols
+    return start, phi[idx].sum(axis=1), yc[idx].sum(axis=1), ycphi[idx].sum(axis=1)
+
+
+def _threaded_map(
+    fn: Callable[[int], _T], args: Sequence[int], workers: int
+) -> Generator[_T, None, None]:
+    """Yield ``fn(arg)`` for every arg, in order, computed on ``workers`` threads.
+
+    An argument is claimed only while fewer than ``workers`` results are
+    ahead of the consumer, so at most ``workers`` calls run or wait at once.
+    A failed call re-raises its exception here, in order.  Closing the
+    generator stops the threads and waits for them.
+    """
+    cond = threading.Condition()
+    results: dict[int, tuple[bool, Any]] = {}
+    claimed = consumed = 0
+    stop = False
+
+    def work() -> None:
+        nonlocal claimed
+        while True:
+            with cond:
+                while not stop and claimed < len(args) and claimed >= consumed + workers:
+                    cond.wait()
+                if stop or claimed >= len(args):
+                    return
+                k = claimed
+                claimed += 1
+            try:
+                out: tuple[bool, Any] = (True, fn(args[k]))
+            except BaseException as exc:  # handed to the consumer, never lost
+                out = (False, exc)
+            with cond:
+                results[k] = out
+                cond.notify_all()
+
+    threads = [threading.Thread(target=work, daemon=True) for _ in range(workers)]
+    for t in threads:
+        t.start()
+    try:
+        for k in range(len(args)):
+            with cond:
+                while k not in results:
+                    cond.wait()
+                ok, value = results.pop(k)
+                consumed = k + 1
+                cond.notify_all()
+            if not ok:
+                raise value
+            yield value
+    finally:
+        with cond:
+            stop = True
+            cond.notify_all()
+        for t in threads:
+            t.join()
+
+
 def _replicate_batches(
     cols: np.ndarray, n: int, seed: int, replicates: int, batch_rows: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    N = cols.shape[1]
-    phi, yc, ycphi = cols
-    blocks_per_rep = -(-N // 4)  # Philox advances in blocks of four 64-bit draws
-    stride = 4 * blocks_per_rep
-    start = 0
-    while start < replicates:
-        count = min(batch_rows, replicates - start)
-        bits = np.random.Philox(key=seed)
-        bits.advance(start * blocks_per_rep)
-        u = np.random.Generator(bits).random((count, stride))[:, :N]
-        idx = np.argpartition(u, n - 1, axis=1)[:, :n]
-        yield start, phi[idx].sum(axis=1), yc[idx].sum(axis=1), ycphi[idx].sum(axis=1)
-        start += count
+) -> Generator[tuple[int, np.ndarray, np.ndarray, np.ndarray], None, None]:
+    """Column sums of every replicate, in chunks of ``batch_rows``, in index order."""
+    starts = range(0, replicates, batch_rows)
+
+    def chunk(start: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+        return _sample_chunk(cols, n, seed, start, min(batch_rows, replicates - start))
+
+    workers = min(_WORKERS, len(starts))
+    if workers == 1:
+        yield from map(chunk, starts)
+    else:
+        yield from _threaded_map(chunk, starts, workers)
 
 
 def monte_carlo(
@@ -433,26 +520,38 @@ def monte_carlo(
 ) -> SimResult:
     """Replicate independent SRSWOR draws and summarise estimator accuracy.
 
-    Bit-identical output for a given (population, config); see the module
-    notes on the replicate stream layout.  ``batch_rows`` only tunes memory
-    use; it changes results by at most summation rounding.
+    Bit-identical output for a given (population, config), whatever the
+    CPU count; see the module notes on the replicate stream layout.
+    Replicates are drawn in chunks of ``batch_rows`` rows on up to four
+    threads (the CPUs this process may use, at most 4), and the estimators
+    run on the calling thread, chunk by chunk in replicate order.  Each
+    thread holds one chunk of ``batch_rows * N`` uniform deviates.  The
+    default chunk, ``4_000_000 // (4 * N)`` rows, depends only on N and
+    keeps at most 4M deviates (32 MB) in flight; an explicit ``batch_rows``
+    puts threads * ``batch_rows`` * N in flight and changes results by at
+    most summation rounding.  No thread outlives the call, also when it
+    raises.
     """
     if not 2 <= config.n < pop.N:
         raise InvalidSampleSizeError(
             f"Monte Carlo needs 2 <= n < {pop.N}, got {config.n}"
         )
     if batch_rows is None:
-        batch_rows = max(1, _BATCH_ELEMENTS // pop.N)
+        batch_rows = max(1, _BATCH_ELEMENTS // (4 * pop.N))
     elif batch_rows < 1:
         raise ValueError(f"batch_rows must be at least 1, got {batch_rows}")
     true_mean, cols = _unit_columns(pop)
-    return _run_batches(
-        pop,
-        config.n,
-        _normalize_estimators(config.estimators),
-        config.degenerate_policy,
-        true_mean,
-        _replicate_batches(cols, config.n, config.seed, config.replicates, batch_rows),
-        config.replicates,
-        "monte_carlo",
-    )
+    batches = _replicate_batches(cols, config.n, config.seed, config.replicates, batch_rows)
+    try:
+        return _run_batches(
+            pop,
+            config.n,
+            _normalize_estimators(config.estimators),
+            config.degenerate_policy,
+            true_mean,
+            batches,
+            config.replicates,
+            "monte_carlo",
+        )
+    finally:
+        batches.close()  # stops the sampling threads if the kernel raised

@@ -6,12 +6,19 @@ which is computed, and n checked against N, in one place for every
 quantity below:
 
 * variance of the sample mean:      V(ybar) = fpc * S_y2
-* plain ratio estimator (NG):       MSE = fpc * (S_y2 + R1^2 S_phi2 - 2 R1 S_yphi)
+* plain ratio estimator (NG):       MSE = fpc * ((Ybar0/P)^2 S_phi2 + S_e2)
 * family member with constant R:    MSE = fpc * (R^2 S_phi2 + S_y2 (1 - rho^2))
 
-where R1 = Ybar/P and each member's ratio constant is
+where each member's ratio constant is
 
     R = Ybar * m1 / (m1 * P + m2).
+
+The NG expression is the classical S_y2 + R1^2 S_phi2 - 2 R1 S_yphi, with
+R1 = Ybar/P, rewritten without cancellation: on a 0/1 attribute
+R1 - B_phi = Ybar0/P, and S_y2 (1 - rho^2) is the within-group variance
+S_e2.  It is nonnegative by construction, and exactly 0 when y is
+proportional to the attribute (y = c * phi), where NG equals Ybar on every
+sample that has both groups.
 
 The two family expressions above are the same identity in two algebraic
 outfits: expanding (R + B_phi)^2 S_phi2 - 2 (R + B_phi) S_yphi + S_y2 with
@@ -156,8 +163,8 @@ def _unit_mse_family(params: PopulationParams, ratio: float) -> float:
 def _unit_mse(params: PopulationParams, estimator: EstimatorId) -> float:
     """MSE without the fpc factor; the one place NG and the family part ways."""
     if estimator is EstimatorId.NG:
-        r1 = params.Ybar / params.P
-        return params.S_y2 + r1 * r1 * params.S_phi2 - 2.0 * r1 * params.S_yphi
+        g = params.Ybar0 / params.P
+        return g * g * params.S_phi2 + params.S_e2
     return _unit_mse_family(params, ratio_constant(estimator, params))
 
 

@@ -17,6 +17,14 @@ def pop4(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def prop10(tmp_path):
+    """y = phi: three holders and seven non-holders."""
+    path = tmp_path / "prop10.csv"
+    path.write_text("y,phi\n" + "1,1\n" * 3 + "0,0\n" * 7, encoding="utf-8")
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -167,6 +175,14 @@ class TestPre:
         assert table["t2"]["mse"] > 0
         assert not any("unavailable" in w for w in envelope["warnings"])
 
+    def test_proportional_population_has_no_ng_pre(self, capsys, prop10):
+        envelope = run_json(capsys, "pre", "--input", prop10, "--n", "4")
+        table = {row["estimator"]: row for row in envelope["results"]["table"]}
+        assert table["ng"]["pre"] is None
+        assert table["ng"]["rank"] is None
+        assert "ng" not in [row["estimator"] for row in envelope["results"]["ranking"]]
+        assert all(row["mse"] is None or row["mse"] >= 0.0 for row in table.values())
+
     def test_uncorrelated_attribute_warns(self, capsys):
         envelope = run_json(capsys, "pre", "--moments", "Ybar=3,P=0.4,rho=0,Cy=0.7,Cp=0.8,N=50")
         assert any("no family estimator improves" in w for w in envelope["warnings"])
@@ -264,6 +280,14 @@ class TestSimulate:
         )
         assert code == 3
         assert "replicate" in err
+
+    def test_proportional_population_theory_is_nonnegative(self, capsys, prop10):
+        envelope = run_json(
+            capsys, "simulate", "--input", prop10, "--n", "4", "--replicates", "500", "--seed", "3"
+        )
+        rows = {r["estimator"]: r for r in envelope["results"]["rows"]}
+        assert rows["ng"]["theoretical_mse"] == 0.0
+        assert all(r["theoretical_mse"] >= 0.0 for r in rows.values())
 
     def test_report_includes_theory_columns(self, capsys):
         envelope = run_json(

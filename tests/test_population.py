@@ -101,6 +101,9 @@ class TestComputeParams:
         assert p.S_yphi == pytest.approx(2.0 / 3.0, rel=1e-15)
         assert p.rho_pb == pytest.approx(2.0 / math.sqrt(5.0), rel=1e-15)
         assert p.beta2_phi == pytest.approx(1.0, rel=1e-15)
+        # group means 1.5 and 3.5; within-group squares sum to 4 * 0.25
+        assert p.Ybar0 == 1.5
+        assert p.S_e2 == pytest.approx(1.0 / 3.0, rel=1e-15)
         assert p.N == 4
 
     def test_constant_y_rejected(self):
@@ -230,7 +233,8 @@ class TestParamsFromMoments:
             original.beta2_phi,
             original.N,
         )
-        for field in ("Ybar", "P", "Q", "S_y2", "S_phi2", "S_yphi", "rho_pb", "C_y", "C_p", "beta2_phi"):
+        fields = ("Ybar", "P", "Q", "S_y2", "S_phi2", "S_yphi", "rho_pb", "C_y", "C_p", "beta2_phi", "Ybar0", "S_e2")
+        for field in fields:
             assert getattr(rebuilt, field) == pytest.approx(getattr(original, field), rel=1e-12)
 
 

@@ -1,6 +1,8 @@
 """Verification engine: SRSWOR draws, enumeration, Monte Carlo, synthesis."""
 
 import math
+import sys
+import threading
 from itertools import combinations
 
 import numpy as np
@@ -27,6 +29,7 @@ from estlab import (
     synthesize_population,
     variance_sample_mean,
 )
+from estlab import simulation
 
 FOUR_UNITS = FinitePopulation(y=np.array([1.0, 2.0, 3.0, 4.0]), phi=np.array([0, 0, 1, 1]))
 
@@ -322,6 +325,99 @@ class TestMonteCarlo:
             theoretical = mse_proposed(params, n, EstimatorId.T2)
             errors[n] = abs(empirical - theoretical) / theoretical
         assert errors[40] < errors[10]
+
+
+class TestThreadedSampling:
+    """Chunks are drawn on ``simulation._WORKERS`` threads; patching it runs
+    the threaded path on any host."""
+
+    # N=2000 makes the default chunk 500 rows, so 1300 replicates span
+    # three chunks; the narrow population has ~6% degenerate samples.
+    WIDE = synthesize_population(SyntheticSpec(N=2000, P_target=0.3, attribute_effect=2.0), seed=1)
+    NARROW = synthesize_population(SyntheticSpec(N=12, P_target=0.5, attribute_effect=2.0), seed=1)
+    # Under the error policy the first degenerate replicate is 429, in the
+    # fourth chunk of 137 rows.
+    SPLIT = FinitePopulation(y=np.arange(20, dtype=float), phi=np.array([1] * 10 + [0] * 10))
+    SPLIT_ERROR = SimConfig(n=7, replicates=3000, seed=4, estimators=(EstimatorId.T1,), degenerate_policy="error")
+
+    def run_with_workers(self, monkeypatch, workers, *args, **kwargs):
+        monkeypatch.setattr(simulation, "_WORKERS", workers)
+        return monte_carlo(*args, **kwargs)
+
+    def test_worker_count_never_changes_results(self, monkeypatch):
+        cases = [
+            (self.WIDE, SimConfig(n=100, replicates=1300, seed=5), None),
+            (self.WIDE, SimConfig(n=100, replicates=1300, seed=5), 137),
+            (self.NARROW, SimConfig(n=4, replicates=3000, seed=6), 137),
+        ]
+        for pop, config, rows in cases:
+            results = [
+                self.run_with_workers(monkeypatch, w, pop, config, batch_rows=rows) for w in (1, 2, 3)
+            ]
+            assert results[0] == results[1] == results[2]
+
+    def test_many_workers_under_frequent_switches(self, monkeypatch):
+        # More threads than cores and a short switch interval: a chunk claimed
+        # twice or lost would change the result or hang the run.
+        config = SimConfig(n=4, replicates=3000, seed=6)
+        expected = self.run_with_workers(monkeypatch, 1, self.NARROW, config, batch_rows=7)
+        found = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(
+                target=lambda: found.append(
+                    self.run_with_workers(monkeypatch, 8, self.NARROW, config, batch_rows=7)
+                ),
+                daemon=True,
+            )
+            caller.start()
+            caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive(), "threaded run did not finish"
+        assert found == [expected]
+
+    def test_worker_count_never_changes_first_degenerate_index(self, monkeypatch):
+        found = []
+        for workers in (1, 2, 3):
+            with pytest.raises(DegenerateSampleError) as excinfo:
+                self.run_with_workers(monkeypatch, workers, self.SPLIT, self.SPLIT_ERROR, batch_rows=137)
+            found.append(excinfo.value.replicate)
+        assert found == [429, 429, 429]
+
+    def test_no_thread_outlives_an_aborted_run(self, monkeypatch):
+        before = threading.active_count()
+        with pytest.raises(DegenerateSampleError) as excinfo:
+            self.run_with_workers(monkeypatch, 3, self.SPLIT, self.SPLIT_ERROR, batch_rows=137)
+        # Checked while the traceback, and with it the run's frames, is alive.
+        assert threading.active_count() == before
+        assert excinfo.value.replicate == 429
+
+    def test_failing_chunk_reaches_the_caller(self, monkeypatch):
+        real = simulation._sample_chunk
+
+        def fail_on_chunk_2(cols, n, seed, start, count):
+            if start == 2 * 137:
+                raise RuntimeError("chunk 2 failed")
+            return real(cols, n, seed, start, count)
+
+        monkeypatch.setattr(simulation, "_sample_chunk", fail_on_chunk_2)
+        before = threading.active_count()
+        outcome = []
+
+        def call():
+            try:
+                self.run_with_workers(monkeypatch, 2, self.NARROW, SimConfig(n=4, replicates=3000), batch_rows=137)
+            except RuntimeError as exc:
+                outcome.append(str(exc))
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=30)
+        assert not caller.is_alive(), "monte_carlo hung after a worker failed"
+        assert outcome == ["chunk 2 failed"]
+        assert threading.active_count() == before
 
 
 class TestSynthesize:

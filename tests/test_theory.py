@@ -389,6 +389,33 @@ def test_mse_report_consistency():
     assert ng.mse == mse_naik_gupta(VILLAGES, 23)
 
 
+def test_ng_mse_is_exactly_zero_on_a_proportional_population():
+    # prop10: y = phi, three holders in ten.  NG equals Ybar on every
+    # sample with both groups, and the classical expansion
+    # S_y2 + R1^2 S_phi2 - 2 R1 S_yphi left a negative residue here.
+    phi = np.array([1] * 3 + [0] * 7)
+    params = compute_params(FinitePopulation(y=phi.astype(float), phi=phi))
+    assert mse_naik_gupta(params, 4) == 0.0
+    assert mse_report(params, 4, EstimatorId.NG).pre_vs_mean is None
+
+
+def test_ng_mse_matches_the_classical_expansion():
+    rng = np.random.default_rng(7)
+    from_data = []
+    for size in rng.integers(10, 300, 25):
+        phi = (rng.random(size) < 0.4).astype(int)
+        phi[:2] = (0, 1)
+        y = 5.0 + 3.0 * phi + rng.normal(0.0, 1.5, size)
+        from_data.append(compute_params(FinitePopulation(y=y, phi=phi)))
+    for params in [random_params(rng) for _ in range(25)] + from_data:
+        n = int(rng.integers(2, params.N))
+        r1 = params.Ybar / params.P
+        classical = (1 - n / params.N) / n * (
+            params.S_y2 + r1 * r1 * params.S_phi2 - 2 * r1 * params.S_yphi
+        )
+        assert mse_naik_gupta(params, n) == pytest.approx(classical, rel=1e-12)
+
+
 def test_mse_report_keeps_a_zero_mse_without_pre():
     # y = phi makes y - (Ybar/P)*phi constant, so NG has zero first-order MSE.
     phi = np.array([1, 0] * 10)
