@@ -302,8 +302,10 @@ def _cmd_pre(args: argparse.Namespace) -> int:
     if n is not None and params.N is not None:
         mse_by_label["mean"] = theory.variance_sample_mean(params, n)
         for e in EstimatorId:
-            if pre_by_label[e.value] is not None:
+            try:  # a zero MSE has no PRE, but the MSE itself is defined
                 mse_by_label[e.value] = theory.mse_report(params, n, e).mse
+            except EstlabError:  # undefined form; already listed in warnings
+                pass
     else:
         warnings.append("mean squared errors unavailable: requires both --n and a known N")
 
@@ -567,19 +569,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except TooManySamplesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except DegenerateSampleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except EstlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (CliError, EstlabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

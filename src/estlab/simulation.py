@@ -37,10 +37,11 @@ keyed by the configured seed.  Replicate i consumes a dedicated, block
 aligned slice of the keyed stream (one uniform deviate per population unit,
 padded to the four-draw block size), so every replicate is a pure function
 of (seed, replicate index): which samples are drawn does not depend on
-batch layout, thread count, or evaluation order.  Chunks of replicates
-are drawn on up to four threads (the CPUs this process may use, at most
-4), but the estimators run on the calling thread over the chunks in
-replicate-index order, and the default chunk size depends only on N, so
+batch layout, thread count, or evaluation order.  Chunks of
+``4_000_000 // (4 * N)`` replicates are drawn on up to four threads (the
+CPUs this process may use, at most 4), at most one chunk per thread ahead
+of the estimators.  The estimators run on the calling thread over the
+chunks in replicate-index order, and the chunk size depends only on N, so
 the output is bit-identical whatever the thread count.  Samples are
 aggregated with exact summation over chunk subtotals.  Synthetic-population
 noise uses the same keyed generator from a disjoint counter block, so a
@@ -51,9 +52,9 @@ from __future__ import annotations
 
 import math
 import os
-import threading
+from collections import deque
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Generator, Iterable, Iterator, Literal, Sequence, TypeVar
+from typing import Generator, Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -111,8 +112,6 @@ def _worker_count() -> int:
 
 #: Threads that draw Monte Carlo chunks: the usable CPUs, at most 4.
 _WORKERS = _worker_count()
-
-_T = TypeVar("_T")
 
 
 def _check_policy(policy: str) -> None:
@@ -416,7 +415,7 @@ def enumerate_all_samples(
             f"C({pop.N},{n}) = {total} subsets exceeds the guard of {ENUMERATION_GUARD}"
         )
     chosen = _normalize_estimators(estimators)
-    batch_rows = max(1, _BATCH_ELEMENTS // max(n, 1))
+    batch_rows = max(1, _BATCH_ELEMENTS // n)
     true_mean, cols = _unit_columns(pop)
     return _run_batches(
         pop,
@@ -444,104 +443,61 @@ def _sample_chunk(
     return start, phi[idx].sum(axis=1), yc[idx].sum(axis=1), ycphi[idx].sum(axis=1)
 
 
-def _threaded_map(
-    fn: Callable[[int], _T], args: Sequence[int], workers: int
-) -> Generator[_T, None, None]:
-    """Yield ``fn(arg)`` for every arg, in order, computed on ``workers`` threads.
-
-    An argument is claimed only while fewer than ``workers`` results are
-    ahead of the consumer, so at most ``workers`` calls run or wait at once.
-    A failed call re-raises its exception here, in order.  Closing the
-    generator stops the threads and waits for them.
-    """
-    cond = threading.Condition()
-    results: dict[int, tuple[bool, Any]] = {}
-    claimed = consumed = 0
-    stop = False
-
-    def work() -> None:
-        nonlocal claimed
-        while True:
-            with cond:
-                while not stop and claimed < len(args) and claimed >= consumed + workers:
-                    cond.wait()
-                if stop or claimed >= len(args):
-                    return
-                k = claimed
-                claimed += 1
-            try:
-                out: tuple[bool, Any] = (True, fn(args[k]))
-            except BaseException as exc:  # handed to the consumer, never lost
-                out = (False, exc)
-            with cond:
-                results[k] = out
-                cond.notify_all()
-
-    threads = [threading.Thread(target=work, daemon=True) for _ in range(workers)]
-    for t in threads:
-        t.start()
-    try:
-        for k in range(len(args)):
-            with cond:
-                while k not in results:
-                    cond.wait()
-                ok, value = results.pop(k)
-                consumed = k + 1
-                cond.notify_all()
-            if not ok:
-                raise value
-            yield value
-    finally:
-        with cond:
-            stop = True
-            cond.notify_all()
-        for t in threads:
-            t.join()
-
-
 def _replicate_batches(
-    cols: np.ndarray, n: int, seed: int, replicates: int, batch_rows: int
+    cols: np.ndarray, n: int, seed: int, replicates: int
 ) -> Generator[tuple[int, np.ndarray, np.ndarray, np.ndarray], None, None]:
-    """Column sums of every replicate, in chunks of ``batch_rows``, in index order."""
-    starts = range(0, replicates, batch_rows)
+    """Column sums of every replicate, chunk by chunk in index order.
+
+    A chunk is ``_BATCH_ELEMENTS // (4 * N)`` rows, so its bounds depend
+    only on N.  With more than one chunk and more than one usable CPU, at
+    most ``workers`` chunks are submitted ahead of the consumer; closing
+    the generator cancels the rest and waits for the running ones.
+    """
+    rows = max(1, _BATCH_ELEMENTS // (4 * cols.shape[1]))
+    starts = range(0, replicates, rows)
 
     def chunk(start: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        return _sample_chunk(cols, n, seed, start, min(batch_rows, replicates - start))
+        return _sample_chunk(cols, n, seed, start, min(rows, replicates - start))
 
     workers = min(_WORKERS, len(starts))
     if workers == 1:
         yield from map(chunk, starts)
-    else:
-        yield from _threaded_map(chunk, starts, workers)
+        return
+    # Imported here: it loads logging, which one-chunk runs need not pay.
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(workers)
+    try:
+        ahead = deque(pool.submit(chunk, start) for start in starts[:workers])
+        for start in starts[workers:]:
+            done = ahead.popleft().result()
+            ahead.append(pool.submit(chunk, start))
+            yield done
+        while ahead:
+            yield ahead.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
-def monte_carlo(
-    pop: FinitePopulation, config: SimConfig, batch_rows: int | None = None
-) -> SimResult:
+def monte_carlo(pop: FinitePopulation, config: SimConfig) -> SimResult:
     """Replicate independent SRSWOR draws and summarise estimator accuracy.
 
     Bit-identical output for a given (population, config), whatever the
     CPU count; see the module notes on the replicate stream layout.
-    Replicates are drawn in chunks of ``batch_rows`` rows on up to four
-    threads (the CPUs this process may use, at most 4), and the estimators
-    run on the calling thread, chunk by chunk in replicate order.  Each
-    thread holds one chunk of ``batch_rows * N`` uniform deviates.  The
-    default chunk, ``4_000_000 // (4 * N)`` rows, depends only on N and
-    keeps at most 4M deviates (32 MB) in flight; an explicit ``batch_rows``
-    puts threads * ``batch_rows`` * N in flight and changes results by at
-    most summation rounding.  No thread outlives the call, also when it
-    raises.
+    Replicates are drawn in chunks of ``4_000_000 // (4 * N)`` rows on up
+    to four threads (the CPUs this process may use, at most 4), and the
+    estimators run on the calling thread, chunk by chunk in replicate
+    order.  The chunk depends only on N.  At most one chunk per thread is
+    drawn ahead of the estimators, so at most 4M uniform deviates (32 MB)
+    are in flight.  A run that fits in one chunk starts no thread, and no
+    thread outlives the call, also when it raises.
     """
     if not 2 <= config.n < pop.N:
         raise InvalidSampleSizeError(
             f"Monte Carlo needs 2 <= n < {pop.N}, got {config.n}"
         )
-    if batch_rows is None:
-        batch_rows = max(1, _BATCH_ELEMENTS // (4 * pop.N))
-    elif batch_rows < 1:
-        raise ValueError(f"batch_rows must be at least 1, got {batch_rows}")
     true_mean, cols = _unit_columns(pop)
-    batches = _replicate_batches(cols, config.n, config.seed, config.replicates, batch_rows)
+    batches = _replicate_batches(cols, config.n, config.seed, config.replicates)
     try:
         return _run_batches(
             pop,

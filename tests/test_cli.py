@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import estlab
 from estlab.cli import main
 
 VILLAGE_MOMENTS = "Ybar=3.36,P=0.1236,rho=0.766,Cy=0.604,Cp=2.19,N=89"
@@ -179,6 +184,7 @@ class TestPre:
         envelope = run_json(capsys, "pre", "--input", prop10, "--n", "4")
         table = {row["estimator"]: row for row in envelope["results"]["table"]}
         assert table["ng"]["pre"] is None
+        assert table["ng"]["mse"] == 0.0
         assert table["ng"]["rank"] is None
         assert "ng" not in [row["estimator"] for row in envelope["results"]["ranking"]]
         assert all(row["mse"] is None or row["mse"] >= 0.0 for row in table.values())
@@ -301,6 +307,25 @@ class TestSimulate:
             assert row["theoretical_mse"] > 0
             assert row["relative_error"] is not None
             assert row["effective_replicates"] + row["degenerate_count"] == 2000
+
+    def test_one_chunk_run_loads_no_thread_pool(self):
+        # concurrent.futures loads logging; only a multi-chunk Monte Carlo
+        # run needs it.  A fresh interpreter shows what the commands import.
+        script = f"""
+import contextlib, io, sys
+import estlab
+from estlab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["pre", "--moments", {VILLAGE_MOMENTS!r}, "--n", "23"]) == 0
+    assert main(["simulate", "--synth", "N=200,P=0.3", "--n", "40", "--replicates", "2000"]) == 0
+print(sorted({{"concurrent.futures", "logging"}} & set(sys.modules)))
+"""
+        src = str(Path(estlab.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_both_population_sources_rejected(self, capsys, pop4):
         code, _, err = run(

@@ -31,6 +31,8 @@ from estlab import (
 )
 from estlab import simulation
 
+DEFAULT_BATCH_ELEMENTS = simulation._BATCH_ELEMENTS
+
 FOUR_UNITS = FinitePopulation(y=np.array([1.0, 2.0, 3.0, 4.0]), phi=np.array([0, 0, 1, 1]))
 
 
@@ -231,22 +233,18 @@ class TestMonteCarlo:
         config = SimConfig(n=5, replicates=4000, seed=11, estimators=(EstimatorId.NG, EstimatorId.T2))
         assert monte_carlo(pop, config) == monte_carlo(pop, config)
 
-    def test_batch_partition_is_immaterial(self):
+    def test_batch_partition_is_immaterial(self, monkeypatch):
         pop = synthesize_population(SyntheticSpec(N=15, P_target=0.4, intercept=6, attribute_effect=2), seed=3)
         config = SimConfig(n=4, replicates=5000, seed=11, estimators=(EstimatorId.T2,))
-        small = monte_carlo(pop, config, batch_rows=137)
-        large = monte_carlo(pop, config, batch_rows=100_000)
+        large = monte_carlo(pop, config)  # one chunk
+        # The chunk is _BATCH_ELEMENTS // (4 * N) rows: 137 here.
+        monkeypatch.setattr(simulation, "_BATCH_ELEMENTS", 4 * pop.N * 137)
+        small = monte_carlo(pop, config)
         for a, b in zip(small.rows, large.rows):
             assert a.estimator == b.estimator
             assert a.effective_replicates == b.effective_replicates
             assert a.empirical_mse == pytest.approx(b.empirical_mse, rel=1e-12)
             assert a.empirical_bias == pytest.approx(b.empirical_bias, rel=1e-9, abs=1e-12)
-
-    def test_batch_rows_below_one_rejected(self):
-        pop = synthesize_population(SyntheticSpec(N=20, P_target=0.3))
-        for rows in (0, -3):
-            with pytest.raises(ValueError, match=f"batch_rows must be at least 1, got {rows}"):
-                monte_carlo(pop, SimConfig(n=5, replicates=10), batch_rows=rows)
 
     def test_first_replicate_matches_single_draw(self):
         # Replicate i is a pure function of (seed, i); replicate 0 must agree
@@ -340,9 +338,12 @@ class TestThreadedSampling:
     SPLIT = FinitePopulation(y=np.arange(20, dtype=float), phi=np.array([1] * 10 + [0] * 10))
     SPLIT_ERROR = SimConfig(n=7, replicates=3000, seed=4, estimators=(EstimatorId.T1,), degenerate_policy="error")
 
-    def run_with_workers(self, monkeypatch, workers, *args, **kwargs):
+    def run_with_workers(self, monkeypatch, workers, pop, config, chunk_rows=None):
+        """Run on ``workers`` threads, in chunks of ``chunk_rows`` rows (default: N's chunk)."""
         monkeypatch.setattr(simulation, "_WORKERS", workers)
-        return monte_carlo(*args, **kwargs)
+        elements = DEFAULT_BATCH_ELEMENTS if chunk_rows is None else 4 * pop.N * chunk_rows
+        monkeypatch.setattr(simulation, "_BATCH_ELEMENTS", elements)
+        return monte_carlo(pop, config)
 
     def test_worker_count_never_changes_results(self, monkeypatch):
         cases = [
@@ -352,7 +353,7 @@ class TestThreadedSampling:
         ]
         for pop, config, rows in cases:
             results = [
-                self.run_with_workers(monkeypatch, w, pop, config, batch_rows=rows) for w in (1, 2, 3)
+                self.run_with_workers(monkeypatch, w, pop, config, chunk_rows=rows) for w in (1, 2, 3)
             ]
             assert results[0] == results[1] == results[2]
 
@@ -360,14 +361,14 @@ class TestThreadedSampling:
         # More threads than cores and a short switch interval: a chunk claimed
         # twice or lost would change the result or hang the run.
         config = SimConfig(n=4, replicates=3000, seed=6)
-        expected = self.run_with_workers(monkeypatch, 1, self.NARROW, config, batch_rows=7)
+        expected = self.run_with_workers(monkeypatch, 1, self.NARROW, config, chunk_rows=7)
         found = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             caller = threading.Thread(
                 target=lambda: found.append(
-                    self.run_with_workers(monkeypatch, 8, self.NARROW, config, batch_rows=7)
+                    self.run_with_workers(monkeypatch, 8, self.NARROW, config, chunk_rows=7)
                 ),
                 daemon=True,
             )
@@ -382,14 +383,32 @@ class TestThreadedSampling:
         found = []
         for workers in (1, 2, 3):
             with pytest.raises(DegenerateSampleError) as excinfo:
-                self.run_with_workers(monkeypatch, workers, self.SPLIT, self.SPLIT_ERROR, batch_rows=137)
+                self.run_with_workers(monkeypatch, workers, self.SPLIT, self.SPLIT_ERROR, chunk_rows=137)
             found.append(excinfo.value.replicate)
         assert found == [429, 429, 429]
+
+    def test_at_most_workers_chunks_run_ahead(self, monkeypatch):
+        # The run stops in chunk 3 of 22, so four chunks are consumed; a pool
+        # that drew every chunk up front would record all 22.
+        real = simulation._sample_chunk
+        calls = []
+
+        def recording(cols, n, seed, start, count):
+            calls.append(start)
+            return real(cols, n, seed, start, count)
+
+        monkeypatch.setattr(simulation, "_sample_chunk", recording)
+        for workers in (2, 3, 4):
+            calls.clear()
+            with pytest.raises(DegenerateSampleError) as excinfo:
+                self.run_with_workers(monkeypatch, workers, self.SPLIT, self.SPLIT_ERROR, chunk_rows=137)
+            assert excinfo.value.replicate == 429
+            assert len(calls) <= 4 + workers
 
     def test_no_thread_outlives_an_aborted_run(self, monkeypatch):
         before = threading.active_count()
         with pytest.raises(DegenerateSampleError) as excinfo:
-            self.run_with_workers(monkeypatch, 3, self.SPLIT, self.SPLIT_ERROR, batch_rows=137)
+            self.run_with_workers(monkeypatch, 3, self.SPLIT, self.SPLIT_ERROR, chunk_rows=137)
         # Checked while the traceback, and with it the run's frames, is alive.
         assert threading.active_count() == before
         assert excinfo.value.replicate == 429
@@ -408,7 +427,7 @@ class TestThreadedSampling:
 
         def call():
             try:
-                self.run_with_workers(monkeypatch, 2, self.NARROW, SimConfig(n=4, replicates=3000), batch_rows=137)
+                self.run_with_workers(monkeypatch, 2, self.NARROW, SimConfig(n=4, replicates=3000), chunk_rows=137)
             except RuntimeError as exc:
                 outcome.append(str(exc))
 
