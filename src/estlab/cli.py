@@ -432,13 +432,18 @@ def _sim_results(
     for row in result.rows:
         if row.estimator == "mean" and not include_mean:
             continue
+        theoretical: float | None
         if row.estimator == "mean":
             theoretical = theory.variance_sample_mean(params, result.n)
         else:
-            theoretical = theory.mse_report(params, result.n, EstimatorId(row.estimator)).mse
+            try:
+                theoretical = theory.mse_report(params, result.n, EstimatorId(row.estimator)).mse
+            except EstlabError as exc:  # undefined form: the row was skipped throughout
+                theoretical = None
+                warnings.append(f"{row.estimator}: {exc}")
         rel_err = (
             (row.empirical_mse - theoretical) / theoretical
-            if theoretical > 0.0 and math.isfinite(row.empirical_mse)
+            if theoretical is not None and theoretical > 0.0 and math.isfinite(row.empirical_mse)
             else None
         )
         if row.degenerate_count:

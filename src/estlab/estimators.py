@@ -11,12 +11,13 @@ and the constants ``m1`` (nonzero) and ``m2`` are either plain numbers or
 known population constants of the attribute (its kurtosis, its coefficient
 of variation, or the point-biserial correlation).  Ten named members
 ``t1 .. t10`` pin particular choices; the plain ratio estimator
-``t_NG = ybar * P / p`` (Naik-Gupta) is the b_phi = 0 special case of t1.
+``t_NG = ybar * P / p`` (Naik-Gupta) is t1's form, (m1, m2) = (1, 0), with
+the slope term dropped (b_phi = 0).
 
-The two expressions are written once, in :func:`ratio_estimate` and
-:func:`family_estimate`.  Both are elementwise, so the scalar estimators
-below and the batch kernel in :mod:`estlab.simulation` evaluate the same
-arithmetic; each guards its own undefined cases before calling them.
+The expression is written once, in :func:`family_estimate`.  It is
+elementwise, so the scalar estimators below and the batch kernel in
+:mod:`estlab.simulation` evaluate the same arithmetic for every row, NG
+included; each guards its own undefined cases before calling it.
 """
 
 from __future__ import annotations
@@ -186,14 +187,6 @@ def resolve_form(form: EstimatorForm, params: PopulationParams) -> tuple[float, 
     return m1, m2
 
 
-def ratio_estimate(ybar: float | np.ndarray, p: float | np.ndarray, P: float) -> np.ndarray:
-    """Plain ratio estimate ``(ybar / p) * P``, elementwise; exactly ybar where p == P.
-
-    Takes floats or arrays.  Rows with p == 0 are the caller's to exclude.
-    """
-    return np.where(p == P, ybar, (ybar / p) * P)
-
-
 def family_estimate(
     ybar: float | np.ndarray,
     p: float | np.ndarray,
@@ -204,9 +197,9 @@ def family_estimate(
 ) -> np.ndarray:
     """Family estimate ``(ybar + b_phi*(P - p)) / (m1*p + m2) * (m1*P + m2)``, elementwise.
 
-    Exactly ybar where p == P.  With b_phi = 0, m1 = 1 and m2 = 0 it equals
-    :func:`ratio_estimate` bit for bit.  Rows with an undefined b_phi or a
-    zero denominator are the caller's to exclude.
+    Exactly ybar where p == P.  With b_phi = 0, m1 = 1 and m2 = 0 it is the
+    plain ratio estimate ``(ybar / p) * P`` bit for bit.  Rows with an
+    undefined b_phi or a zero denominator are the caller's to exclude.
     """
     return np.where(p == P, ybar, (ybar + b_phi * (P - p)) / (m1 * p + m2) * (m1 * P + m2))
 
@@ -218,7 +211,7 @@ def estimate_naik_gupta(stats: SampleStats, P: float) -> float:
     """
     if stats.p == 0.0:
         raise UndefinedEstimateError("zero sample proportion")
-    return float(ratio_estimate(stats.ybar, stats.p, P))
+    return float(family_estimate(stats.ybar, stats.p, P, 0.0, 1.0, 0.0))
 
 
 def estimate_general(

@@ -11,7 +11,8 @@ error theory, simulation) consumes the derived :class:`PopulationParams`:
 * ``C_y``, ``C_p``  coefficients of variation S_y/Ybar and S_phi/P
 * ``beta2_phi`` kurtosis of the attribute
 * ``Ybar0``     mean of y over the units without the attribute
-* ``S_e2``      within-group variance of y, divisor N-1: S_y2 (1 - rho_pb^2)
+* ``S_e2``      within-group variance of y, divisor N-1, which is
+                S_y2 (1 - rho_pb^2); it feeds the MSE of every ratio-type row
 
 Parameters can also be reconstructed from published summary moments via
 :func:`params_from_moments`, for datasets where only the moments survive.

@@ -12,23 +12,26 @@ The kernel reads each sample only through three sums: the attribute count
 ``a``, ``sum y`` and ``sum y*phi``, with y centred at the population mean.
 On a 0/1 attribute the sample regression slope is the difference of group
 means, ``b_phi = ybar1 - ybar0``, so these sums determine every estimator.
-The estimates themselves come from
-:func:`~estlab.estimators.ratio_estimate` and
-:func:`~estlab.estimators.family_estimate`, the same functions the scalar
-estimators use.  Monte Carlo gathers the sums of each drawn sample from its
-unit indices.  Enumeration lists no subset's units: it builds the sums of
-all k-subsets from those of the (k-1)-subsets, level by level up to n, in
-the lexicographic order of :func:`itertools.combinations`.
+Every ratio-type row comes from :func:`~estlab.estimators.family_estimate`,
+as in the scalar estimators, resolved once to its (m1, m2) and whether it
+uses the slope; the plain ratio estimator (NG) is t1's (1, 0) without it.
+Monte Carlo gathers the sums of each drawn sample from its unit indices.
+Enumeration lists no subset's units: it builds the sums of all k-subsets
+from those of the (k-1)-subsets, level by level up to n, in the
+lexicographic order of :func:`itertools.combinations`.
 
 Degenerate samples and the skip policy
 --------------------------------------
-A drawn sample whose attribute is constant (p = 0 or p = 1) leaves the
-ratio correction or b_phi undefined.  Under the default ``skip`` policy such
-samples are excluded from the plain ratio estimator and every family row
-alike, so all ratio-type rows condition on the same sample set, and the
-exclusions are counted per row.  The built-in sample-mean benchmark is
-defined on every sample and is never skipped.  Under the ``error`` policy
-the first degenerate sample aborts the run.
+Whether a row is defined on a sample depends only on ``a``, so each row
+carries a table ``defined[a]`` over a = 0..n.  No row is defined where the
+attribute is constant (a = 0 or n), nor a family member where its
+denominator ``m1*(a/n) + m2`` is zero, nor anywhere a form whose m1
+resolves to zero.  Under the default ``skip`` policy a row leaves out and
+counts the samples it is not defined on; every ratio-type row skips the
+constant-attribute ones.  The built-in sample-mean benchmark is never
+skipped.  Under the ``error`` policy the first sample that some requested
+row cannot evaluate aborts the run, whatever the chunk size, and an
+undefined form aborts it before any sample.
 
 Reproducibility
 ---------------
@@ -63,15 +66,9 @@ from .errors import (
     InvalidSampleSizeError,
     InvalidSyntheticSpecError,
     TooManySamplesError,
+    UndefinedConstantError,
 )
-from .estimators import (
-    FAMILY_FORMS,
-    EstimatorId,
-    SampleData,
-    family_estimate,
-    ratio_estimate,
-    resolve_form,
-)
+from .estimators import FAMILY_FORMS, EstimatorId, SampleData, family_estimate, resolve_form
 from .population import FinitePopulation, PopulationParams, compute_params
 
 __all__ = [
@@ -291,6 +288,40 @@ def _unit_columns(pop: FinitePopulation) -> tuple[float, np.ndarray]:
     return true_mean, np.stack([pop.phi, yc, yc * pop.phi])
 
 
+def _row_plan(
+    params: PopulationParams, n: int, estimators: tuple[EstimatorId, ...], policy: DegeneratePolicy
+) -> list[tuple[str, float, float, bool, np.ndarray]]:
+    """Resolve each requested row once to (label, m1, m2, uses_slope, defined).
+
+    NG is t1's form (1, 0) without the slope term.  ``defined[a]`` tells
+    whether the row can be evaluated on a sample holding a = 0..n attribute
+    units: the attribute is not constant and ``m1*(a/n) + m2`` is nonzero.
+    A form whose m1 resolves to zero raises UndefinedConstantError under
+    ``error``; under ``skip`` it becomes (0, 0), which is defined nowhere.
+    """
+    counts = np.arange(n + 1)
+    p = counts / n  # the kernel's a / n, so the denominators round alike
+    interior = (counts > 0) & (counts < n)
+    plan = []
+    for e in estimators:
+        uses_slope = e is not EstimatorId.NG
+        try:
+            m1, m2 = resolve_form(FAMILY_FORMS[e if uses_slope else EstimatorId.T1], params)
+        except UndefinedConstantError:
+            if policy == "error":
+                raise
+            m1 = m2 = 0.0
+        plan.append((e.value, m1, m2, uses_slope, interior & (m1 * p + m2 != 0.0)))
+    return plan
+
+
+def _undefined_reason(plan: list, n: int, a: int) -> str:
+    """Why a sample holding ``a`` attribute units fails some requested row."""
+    if a in (0, n):
+        return "sample attribute is constant (p is 0 or 1)"
+    return "zero denominator for " + next(row[0] for row in plan if not row[-1][a])
+
+
 def _run_batches(
     pop: FinitePopulation,
     n: int,
@@ -307,58 +338,33 @@ def _run_batches(
     per sample, the attribute count and the sums of ``y - true_mean`` and
     ``(y - true_mean)*phi``.
     """
-    params: PopulationParams | None = compute_params(pop) if estimators else None
-    resolved = {
-        e: resolve_form(FAMILY_FORMS[e], params)
-        for e in estimators
-        if e is not EstimatorId.NG and params is not None
-    }
-
-    acc: dict[str, _Accumulator] = {"mean": _Accumulator()}
-    for e in estimators:
-        acc[e.value] = _Accumulator()
+    params = compute_params(pop) if estimators else None
+    plan = _row_plan(params, n, estimators, policy) if params is not None else []
+    evaluable = np.logical_and.reduce([row[-1] for row in plan]) if plan else None
+    acc = {"mean": _Accumulator(), **{row[0]: _Accumulator() for row in plan}}
 
     for start, a, sum_yc, sum_ycphi in batches:
-        rows = a.shape[0]
-        degenerate = (a == 0) | (a == n)
-
-        if policy == "error" and estimators and degenerate.any():
-            first = start + int(np.argmax(degenerate))
-            raise DegenerateSampleError(
-                "sample attribute is constant (p is 0 or 1)", replicate=first
-            )
-        valid = ~degenerate
-
         ybar_c = sum_yc / n
         acc["mean"].add(ybar_c, 0)
-
-        if not estimators:
+        if params is None or evaluable is None:
             continue
-        assert params is not None
-        P = params.P
+        a_int = a.astype(np.intp)
+        if policy == "error" and not evaluable[a_int].all():
+            first = int(np.argmin(evaluable[a_int]))
+            reason = _undefined_reason(plan, n, int(a_int[first]))
+            raise DegenerateSampleError(reason, replicate=start + first)
         p = a / n
         ybar = true_mean + ybar_c
 
-        # Degenerate rows divide by zero in b_phi and in ratio_estimate, and
-        # zero-denominator rows in family_estimate; the masks below drop
-        # both before accumulation.
+        # Degenerate rows divide by zero in b_phi, and zero-denominator rows
+        # in family_estimate; the defined tables drop both before accumulation.
         with np.errstate(divide="ignore", invalid="ignore"):
             b_phi = sum_ycphi / a - (sum_yc - sum_ycphi) / (n - a)
-            for e in estimators:
-                if e is EstimatorId.NG:
-                    vals = ratio_estimate(ybar, p, P)
-                    mask = valid
-                else:
-                    m1, m2 = resolved[e]
-                    den_ok = m1 * p + m2 != 0.0
-                    if policy == "error" and not bool(den_ok[valid].all()):
-                        first = start + int(np.argmax(valid & ~den_ok))
-                        raise DegenerateSampleError(
-                            f"zero denominator for {e.value}", replicate=first
-                        )
-                    mask = valid & den_ok
-                    vals = family_estimate(ybar, p, P, b_phi, m1, m2)
-                acc[e.value].add(vals[mask] - true_mean, rows - int(mask.sum()))
+            for label, m1, m2, uses_slope, defined in plan:
+                mask = defined[a_int]
+                vals = family_estimate(ybar, p, params.P, b_phi if uses_slope else 0.0, m1, m2)
+                acc[label].add(vals[mask] - true_mean, mask.size - int(np.count_nonzero(mask)))
+                del vals  # one row's estimates in memory at a time
 
     mean_row = acc["mean"].summarize("mean", true_mean, None)
     mean_mse = mean_row.empirical_mse if mean_row.effective_replicates else None

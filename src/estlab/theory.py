@@ -5,26 +5,24 @@ of a Taylor expansion in (p - P, ybar - Ybar).  Writing fpc = (1 - n/N)/n,
 which is computed, and n checked against N, in one place for every
 quantity below:
 
-* variance of the sample mean:      V(ybar) = fpc * S_y2
-* plain ratio estimator (NG):       MSE = fpc * ((Ybar0/P)^2 S_phi2 + S_e2)
-* family member with constant R:    MSE = fpc * (R^2 S_phi2 + S_y2 (1 - rho^2))
+* variance of the sample mean:  V(ybar) = fpc * S_y2
+* every ratio-type row:         MSE = fpc * (G^2 S_phi2 + S_e2)
 
-where each member's ratio constant is
-
-    R = Ybar * m1 / (m1 * P + m2).
-
-The NG expression is the classical S_y2 + R1^2 S_phi2 - 2 R1 S_yphi, with
-R1 = Ybar/P, rewritten without cancellation: on a 0/1 attribute
-R1 - B_phi = Ybar0/P, and S_y2 (1 - rho^2) is the within-group variance
-S_e2.  It is nonnegative by construction, and exactly 0 when y is
+where S_e2 is the within-group variance of y, G = Ybar0/P for the plain
+ratio estimator (NG), and G = R = Ybar * m1 / (m1 * P + m2) for a family
+member.  Both terms are nonnegative, so no MSE can come out negative by
+cancellation.  On a 0/1 attribute S_e2 = S_y2 (1 - rho^2), which gives the
+classical family form R^2 S_phi2 + S_y2 (1 - rho^2); and R1 - B_phi =
+Ybar0/P with R1 = Ybar/P, which gives the classical NG form
+S_y2 + R1^2 S_phi2 - 2 R1 S_yphi.  The NG MSE is exactly 0 when y is
 proportional to the attribute (y = c * phi), where NG equals Ybar on every
 sample that has both groups.
 
-The two family expressions above are the same identity in two algebraic
-outfits: expanding (R + B_phi)^2 S_phi2 - 2 (R + B_phi) S_yphi + S_y2 with
-B_phi = S_yphi/S_phi2 collapses the cross terms and leaves
-R^2 S_phi2 + S_y2 (1 - rho^2).  Both routes are implemented
-(:func:`mse_proposed` and :func:`mse_from_linearization`) and must agree.
+For a family member the expanded Taylor route
+(R + B_phi)^2 S_phi2 - 2 (R + B_phi) S_yphi + S_y2 collapses its cross
+terms to the same value.  It is implemented separately
+(:func:`mse_from_linearization`, next to :func:`mse_proposed`) and the two
+must agree.
 
 Efficiency comparisons come in two equivalent statements: the direct MSE
 difference, and a threshold inequality on the squared point-biserial
@@ -34,8 +32,7 @@ factor of R1 on its correlation cross term, so the direct difference is
 authoritative and any sign disagreement is reported as a flag.
 
 Percent relative efficiency (PRE) is 100 * V(ybar) / MSE; the fpc factor
-cancels, so PRE needs neither n nor N.  :func:`pre_vs_mean` and
-:func:`mse_report` share one choice between the NG and family expressions.
+cancels, so PRE needs neither n nor N.
 """
 
 from __future__ import annotations
@@ -156,16 +153,11 @@ def k_yp(params: PopulationParams) -> float:
     return params.rho_pb * params.C_y / params.C_p
 
 
-def _unit_mse_family(params: PopulationParams, ratio: float) -> float:
-    return ratio * ratio * params.S_phi2 + params.S_y2 * (1.0 - params.rho_pb**2)
-
-
 def _unit_mse(params: PopulationParams, estimator: EstimatorId) -> float:
-    """MSE without the fpc factor; the one place NG and the family part ways."""
-    if estimator is EstimatorId.NG:
-        g = params.Ybar0 / params.P
-        return g * g * params.S_phi2 + params.S_e2
-    return _unit_mse_family(params, ratio_constant(estimator, params))
+    """MSE without the fpc factor, G^2 S_phi2 + S_e2; NG takes G = Ybar0/P."""
+    ng = estimator is EstimatorId.NG
+    g = params.Ybar0 / params.P if ng else ratio_constant(estimator, params)
+    return g * g * params.S_phi2 + params.S_e2
 
 
 def mse_naik_gupta(params: PopulationParams, n: int) -> float:
@@ -174,7 +166,7 @@ def mse_naik_gupta(params: PopulationParams, n: int) -> float:
 
 
 def mse_proposed(params: PopulationParams, n: int, estimator: EstimatorId) -> float:
-    """First-order MSE of a family member: fpc * (R^2 S_phi2 + S_y2 (1 - rho^2))."""
+    """First-order MSE of a family member: fpc * (R^2 S_phi2 + S_e2)."""
     if estimator is EstimatorId.NG:
         raise ValueError("use mse_naik_gupta for the plain ratio estimator")
     return _fpc(params, n) * _unit_mse(params, estimator)
@@ -236,7 +228,7 @@ def efficiency_vs_mean(params: PopulationParams, estimator: EstimatorId) -> Comp
     if estimator is EstimatorId.NG:
         raise ValueError("the comparison is defined for the family members t1..t10")
     ratio = ratio_constant(estimator, params)
-    margin = params.S_y2 - _unit_mse_family(params, ratio)
+    margin = params.S_y2 - _unit_mse(params, estimator)
     threshold_margin = params.rho_pb**2 - (params.S_phi2 / params.S_y2) * ratio * ratio
     return ComparisonResult(
         beats=margin >= 0.0,
@@ -259,7 +251,8 @@ def efficiency_vs_ng(params: PopulationParams, estimator: EstimatorId) -> Compar
         raise ValueError("the comparison is defined for the family members t1..t10")
     ratio = ratio_constant(estimator, params)
     r1 = params.Ybar / params.P
-    margin = _unit_mse(params, EstimatorId.NG) - _unit_mse_family(params, ratio)
+    g_ng = params.Ybar0 / params.P
+    margin = params.S_phi2 * (g_ng * g_ng - ratio * ratio)  # the shared S_e2 cancels exactly
     threshold_margin = params.rho_pb**2 - (params.S_phi2 / params.S_y2) * (
         ratio * ratio - r1 * r1 + 2.0 * r1 * k_yp(params)
     )

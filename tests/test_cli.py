@@ -30,6 +30,14 @@ def prop10(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def uncorrelated(tmp_path):
+    """rho_pb is exactly 0, so t8 and t10 (m1 = rho_pb) have no defined form."""
+    path = tmp_path / "uncorrelated.csv"
+    path.write_text("y,phi\n1,1\n2,1\n2,0\n1,0\n3,0\n3,1\n", encoding="utf-8")
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -367,6 +375,32 @@ class TestEnumerate:
         content = out_path.read_text(encoding="utf-8")
         assert content.splitlines()[0].startswith("estimator,empirical_mean")
         assert "\r" not in content
+
+
+class TestUndefinedForms:
+    @pytest.mark.parametrize(
+        "argv",
+        [("simulate", "--n", "3", "--replicates", "100"), ("enumerate", "--n", "3")],
+    )
+    def test_undefined_form_rows_are_reported_not_fatal(self, capsys, uncorrelated, argv):
+        command = (argv[0], "--input", uncorrelated, *argv[1:])
+        envelope = run_json(capsys, *command)
+        rows = {r["estimator"]: r for r in envelope["results"]["rows"]}
+        samples = envelope["results"]["samples"]
+        for label in ("t8", "t10"):
+            assert rows[label]["theoretical_mse"] is None
+            assert rows[label]["relative_error"] is None
+            assert rows[label]["empirical_mse"] is None
+            assert (rows[label]["effective_replicates"], rows[label]["degenerate_count"]) == (0, samples)
+            assert f"{label}: m1 resolved to zero; the family requires m1 != 0" in envelope["warnings"]
+        others = "mean,ng,t1,t2,t3,t4,t5,t6,t7,t9"
+        without = run_json(capsys, *command, "--estimators", others)
+        kept = [r for r in envelope["results"]["rows"] if r["estimator"] in others.split(",")]
+        assert without["results"]["rows"] == kept
+
+        code, _, err = run(capsys, *command, "--policy", "error")
+        assert code == 2
+        assert "m1 resolved to zero" in err
 
 
 class TestParsing:

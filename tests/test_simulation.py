@@ -19,6 +19,8 @@ from estlab import (
     SimConfig,
     SyntheticSpec,
     TooManySamplesError,
+    UndefinedConstantError,
+    UndefinedEstimateError,
     compute_params,
     compute_sample_stats,
     draw_srswor,
@@ -35,9 +37,24 @@ DEFAULT_BATCH_ELEMENTS = simulation._BATCH_ELEMENTS
 
 FOUR_UNITS = FinitePopulation(y=np.array([1.0, 2.0, 3.0, 4.0]), phi=np.array([0, 0, 1, 1]))
 
+# rho_pb = -0.25 and P = 0.4, so t4's denominator p + rho_pb is zero at
+# p = 1/4; no 4-subset has a constant attribute.
+ZERO_T4_AT_A1 = FinitePopulation(y=np.array([3.0, 0.0, 2.0, 2.0, 2.0]), phi=np.array([1, 1, 0, 0, 0]))
+
+# rho_pb is exactly -1/3 and P = 1/4: at n = 3, t4 is undefined on the three
+# subsets holding one attribute unit, subset 0 among them.
+ZERO_T4_FIRST = FinitePopulation(y=np.array([1.0, 1.0, 1.0, 2.0]), phi=np.array([1, 0, 0, 0]))
+
+# rho_pb is exactly 0, so t8 and t10 (m1 = rho_pb) have no defined form.
+UNCORRELATED = FinitePopulation(y=np.array([1.0, 2.0, 2.0, 1.0, 3.0, 3.0]), phi=np.array([1, 1, 0, 0, 0, 1]))
+
 
 def brute_force_rows(pop, n, estimators):
-    """Independent scalar oracle: walk every subset with the scalar API."""
+    """Independent scalar oracle: walk every subset with the scalar API.
+
+    A subset with a constant attribute, or one the scalar estimator rejects
+    with a zero denominator, is counted as skipped.
+    """
     params = compute_params(pop)
     true_mean = float(pop.y.mean())
     out = {}
@@ -50,7 +67,10 @@ def brute_force_rows(pop, n, estimators):
             if stats.p in (0.0, 1.0):
                 skipped += 1
                 continue
-            values.append(estimate_named(stats, params.P, estimator, params))
+            try:
+                values.append(estimate_named(stats, params.P, estimator, params))
+            except UndefinedEstimateError:
+                skipped += 1
         deviations = np.array(values) - true_mean
         out[estimator.value] = {
             "mean": float(np.mean(values)),
@@ -150,12 +170,14 @@ class TestEnumerateGeneral:
         # attribute units hit the p == P collapse.  The last two are the edge
         # shapes of the subset-sum recursion: n = N - 1 builds every level
         # from two pieces, and n = 2 at N = 40 builds the top level from 39.
+        # The last one has zero-denominator samples for t4 (2 of 5 subsets).
         rng = np.random.default_rng(77)
         cases = [
             (FinitePopulation(y=rng.normal(12.0, 4.0, 9), phi=np.array([1] * 4 + [0] * 5)), 3),
             (FinitePopulation(y=rng.normal(12.0, 4.0, 10), phi=np.array([1] * 4 + [0] * 6)), 5),
             (FinitePopulation(y=rng.normal(12.0, 4.0, 9), phi=np.array([0, 1] * 4 + [1])), 8),
             (FinitePopulation(y=rng.normal(12.0, 4.0, 40), phi=np.array([1] * 13 + [0] * 27)), 2),
+            (ZERO_T4_AT_A1, 4),
         ]
         wanted = list(EstimatorId)
         for pop, n in cases:
@@ -208,6 +230,26 @@ class TestEnumerateGeneral:
         with pytest.raises(DegenerateSampleError) as excinfo:
             enumerate_all_samples(pop, 2, [EstimatorId.NG], degenerate_policy="error")
         assert excinfo.value.replicate == first
+
+    def test_error_policy_stops_at_first_undefined_sample(self):
+        # Subset 0 has one holder, where t4 divides by zero; the first
+        # constant-attribute subset comes later.
+        with pytest.raises(DegenerateSampleError, match="zero denominator for t4") as excinfo:
+            enumerate_all_samples(ZERO_T4_FIRST, 3, [EstimatorId.T4], degenerate_policy="error")
+        assert excinfo.value.replicate == 0
+
+    def test_undefined_form_row_skips_every_sample(self):
+        result = enumerate_all_samples(UNCORRELATED, 3)
+        for label in ("t8", "t10"):
+            row = result.row(label)
+            assert (row.effective_replicates, row.degenerate_count) == (0, result.samples)
+            assert math.isnan(row.empirical_mse) and row.empirical_pre is None
+        others = [e for e in EstimatorId if e.value not in ("t8", "t10")]
+        assert enumerate_all_samples(UNCORRELATED, 3, others).rows == tuple(
+            r for r in result.rows if r.estimator not in ("t8", "t10")
+        )
+        with pytest.raises(UndefinedConstantError):
+            enumerate_all_samples(UNCORRELATED, 3, degenerate_policy="error")
 
     def test_error_policy_ignores_mean_only_runs(self):
         result = enumerate_all_samples(FOUR_UNITS, 2, [], degenerate_policy="error")
@@ -300,6 +342,16 @@ class TestMonteCarlo:
         with pytest.raises(DegenerateSampleError) as again:
             monte_carlo(pop, config)
         assert again.value.replicate == excinfo.value.replicate
+
+    def test_error_policy_replicate_does_not_depend_on_chunk(self, monkeypatch):
+        config = SimConfig(n=3, replicates=200, seed=0, estimators=(EstimatorId.T4,), degenerate_policy="error")
+        found = []
+        for elements in (DEFAULT_BATCH_ELEMENTS, 4 * ZERO_T4_FIRST.N):  # default, then one-row chunks
+            monkeypatch.setattr(simulation, "_BATCH_ELEMENTS", elements)
+            with pytest.raises(DegenerateSampleError) as excinfo:
+                monte_carlo(ZERO_T4_FIRST, config)
+            found.append((str(excinfo.value), excinfo.value.replicate))
+        assert found == [("zero denominator for t4 (replicate 0)", 0)] * 2
 
     def test_rejects_census_and_undersized(self):
         pop = FOUR_UNITS

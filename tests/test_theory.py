@@ -416,6 +416,18 @@ def test_ng_mse_matches_the_classical_expansion():
         assert mse_naik_gupta(params, n) == pytest.approx(classical, rel=1e-12)
 
 
+def test_family_mse_of_an_affine_population_is_the_ratio_term_alone():
+    # y = 4 + 2*phi has no spread within either group (S_e2 = 0), so every
+    # family MSE is exactly fpc * R^2 S_phi2.  Here rho_pb rounds to
+    # 1.0000000000000002, and the classical S_y2 (1 - rho^2) was -4.7e-16.
+    phi = np.array([1] * 5 + [0] * 7)
+    params = compute_params(FinitePopulation(y=4.0 + 2.0 * phi, phi=phi))
+    assert params.S_e2 == 0.0
+    for estimator in FAMILY:
+        r = ratio_constant(estimator, params)
+        assert mse_proposed(params, 5, estimator) == (1 - 5 / 12) / 5 * (r * r * params.S_phi2)
+
+
 def test_mse_report_keeps_a_zero_mse_without_pre():
     # y = phi makes y - (Ybar/P)*phi constant, so NG has zero first-order MSE.
     phi = np.array([1, 0] * 10)
