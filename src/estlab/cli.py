@@ -8,11 +8,14 @@ Subcommands:
 * ``simulate``   seeded Monte Carlo accuracy report
 * ``enumerate``  exact all-subsets accuracy report
 
-Every command emits a single envelope {command, inputs, results, warnings}
-as JSON (default) or a flat CSV table.  Exit codes: 0 success, 2 validation
-or usage error, 3 degenerate sample under the error policy, 4 resource
-guard exceeded.  ``ESTLAB_SEED`` provides the default seed when ``--seed``
-is absent; with neither, the seed is 0.
+Every command emits the envelope {command, inputs, results, warnings} as
+JSON (default) or, with ``--format csv``, its row table: the parameters,
+``results.table`` (PRE to two decimals), ``results.estimates`` or
+``results.rows``, headed by the rows' keys, with null as an empty field.
+Exit codes: 0 success, 2 validation or usage error (an out-of-range size
+carries the library's message), 3 degenerate sample under the error
+policy, 4 resource guard exceeded.  ``ESTLAB_SEED`` provides the default
+seed when ``--seed`` is absent; with neither, the seed is 0.
 """
 
 from __future__ import annotations
@@ -242,16 +245,16 @@ def _emit(
     inputs: dict[str, Any],
     results: dict[str, Any],
     warnings: list[str],
-    csv_rows: tuple[list[str], list[list[Any]]],
+    table: list[dict[str, Any]],
 ) -> None:
+    """Write the envelope as JSON, or the flat rows of ``table`` as CSV."""
     if args.format == "json":
         envelope = {"command": command, "inputs": inputs, "results": results, "warnings": warnings}
         text = json.dumps(_jsonable(envelope), indent=2, allow_nan=False) + "\n"
     else:
-        header, rows = csv_rows
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join("" if v is None else str(v) for v in row))
+        lines = [",".join(table[0])]
+        for row in _jsonable(table):
+            lines.append(",".join("" if v is None else str(v) for v in row.values()))
         text = "\n".join(lines) + "\n"
         for w in warnings:
             print(f"warning: {w}", file=sys.stderr)
@@ -269,11 +272,9 @@ def _emit(
 
 def _cmd_params(args: argparse.Namespace) -> int:
     params, echo, beta2_source = _load_params_source(args)
-    params_map = dataclasses.asdict(params)
-    results = {"params": params_map, "beta2_source": beta2_source}
-    header = list(params_map) + ["beta2_source"]
-    row = list(params_map.values()) + [beta2_source]
-    _emit(args, "params", echo, results, _moment_warnings(params, beta2_source), (header, [row]))
+    results = {"params": dataclasses.asdict(params), "beta2_source": beta2_source}
+    table = [{**results["params"], "beta2_source": beta2_source}]
+    _emit(args, "params", echo, results, _moment_warnings(params, beta2_source), table)
     return EXIT_OK
 
 
@@ -283,69 +284,51 @@ def _cmd_pre(args: argparse.Namespace) -> int:
     n = args.n
     if n is not None and n < 1:
         raise CliError(f"--n must be at least 1, got {n}")
-    if n is not None and params.N is not None and n > params.N:
-        raise CliError(f"--n must satisfy 1 <= n <= {params.N}, got {n}")
-
-    pre_by_label: dict[str, float | None] = {"mean": 100.0}
+    with_mse = n is not None and params.N is not None
+    if not with_mse:
+        warnings.append("mean squared errors unavailable: requires both --n and a known N")
+    mean_mse = theory.variance_sample_mean(params, n) if with_mse else None
+    rows = {"mean": {"estimator": "mean", "pre": 100.0, "rank": None, "mse": mean_mse}}
     undefined: list[str] = []
+    disagreements: list[str] = []
+    family_pres: list[float] = []
     for e in EstimatorId:
         try:
-            pre_by_label[e.value] = theory.pre_vs_mean(params, e, n)
+            pre = theory.pre_vs_mean(params, e, n)
         except EstlabError as exc:
-            pre_by_label[e.value] = None
+            pre = None
             undefined.append(f"{e.value}: {exc}")
-    defined = [theory.PreRow(k, v) for k, v in pre_by_label.items() if v is not None]
-    ranked = theory.rank_pre_rows(tuple(defined))
-    rank_of = {r.estimator: i + 1 for i, r in enumerate(ranked)}
-
-    mse_by_label: dict[str, float | None] = {label: None for label in pre_by_label}
-    if n is not None and params.N is not None:
-        mse_by_label["mean"] = theory.variance_sample_mean(params, n)
-        for e in EstimatorId:
-            try:  # a zero MSE has no PRE, but the MSE itself is defined
-                mse_by_label[e.value] = theory.mse_report(params, n, e).mse
-            except EstlabError:  # undefined form; already listed in warnings
-                pass
-    else:
-        warnings.append("mean squared errors unavailable: requires both --n and a known N")
+        try:  # a zero MSE has no PRE, but the MSE itself is defined
+            mse = theory.mse_report(params, n, e).mse if with_mse else None
+        except EstlabError:  # undefined form; already listed in warnings
+            mse = None
+        rows[e.value] = {"estimator": e.value, "pre": pre, "rank": None, "mse": mse}
+        if pre is not None and e is not EstimatorId.NG:
+            family_pres.append(pre)
+            if not theory.efficiency_vs_ng(params, e).threshold_agrees:
+                disagreements.append(e.value)
 
     warnings.extend(undefined)
-    disagreements = [
-        e.value
-        for e in EstimatorId
-        if e is not EstimatorId.NG
-        and pre_by_label[e.value] is not None
-        and not theory.efficiency_vs_ng(params, e).threshold_agrees
-    ]
     if disagreements:
         warnings.append(
             "correlation-threshold rule disagrees with the direct MSE comparison "
             f"against the plain ratio estimator for: {', '.join(disagreements)}"
         )
-    family_pres = [
-        v for k, v in pre_by_label.items() if k not in ("mean", "ng") and v is not None
-    ]
     if family_pres and all(v <= 100.0 for v in family_pres):
         warnings.append("no family estimator improves on the sample mean for these parameters")
 
+    ranked = theory.rank_pre_rows(
+        tuple(theory.PreRow(label, r["pre"]) for label, r in rows.items() if r["pre"] is not None)
+    )
+    for rank, r in enumerate(ranked, 1):
+        rows[r.estimator]["rank"] = rank
+    table = list(rows.values())
     results = {
-        "table": [
-            {
-                "estimator": label,
-                "pre": pre,
-                "rank": rank_of.get(label),
-                "mse": mse_by_label[label],
-            }
-            for label, pre in pre_by_label.items()
-        ],
+        "table": table,
         "ranking": [{"estimator": r.estimator, "pre": r.pre} for r in ranked],
     }
-    header = ["estimator", "pre", "rank", "mse"]
-    csv_rows = [
-        [label, "" if pre is None else f"{pre:.2f}", rank_of.get(label), mse_by_label[label]]
-        for label, pre in pre_by_label.items()
-    ]
-    _emit(args, "pre", echo, results, warnings, (header, csv_rows))
+    csv_table = [{**r, "pre": None if r["pre"] is None else f"{r['pre']:.2f}"} for r in table]
+    _emit(args, "pre", echo, results, warnings, csv_table)
     return EXIT_OK
 
 
@@ -373,8 +356,6 @@ def _select_sample(args: argparse.Namespace, pop: FinitePopulation, seed: int) -
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    if not args.input:
-        raise CliError("--input is required")
     pop = load_population(args.input)
     params = compute_params(pop)
     seed = _default_seed(args.seed)
@@ -394,19 +375,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             rows.append({"estimator": e.value, "estimate": None, "reason": str(exc)})
 
     warnings = [f"{r['estimator']}: {r['reason']}" for r in rows if r["reason"]]
-    results = {
-        "sample_stats": {
-            "ybar": stats.ybar,
-            "p": stats.p,
-            "s_phi2": stats.s_phi2,
-            "s_yphi": stats.s_yphi,
-            "b_phi": stats.b_phi,
-        },
-        "estimates": rows,
-    }
-    header = ["estimator", "estimate", "reason"]
-    csv_rows = [[r["estimator"], r["estimate"], r["reason"] or ""] for r in rows]
-    _emit(args, "estimate", echo, results, warnings, (header, csv_rows))
+    results = {"sample_stats": dataclasses.asdict(stats), "estimates": rows}
+    _emit(args, "estimate", echo, results, warnings, rows)
     return EXIT_OK
 
 
@@ -425,9 +395,9 @@ _SIM_COLUMNS = [
 
 def _sim_results(
     result: SimResult, params: PopulationParams, include_mean: bool
-) -> tuple[dict[str, Any], tuple[list[str], list[list[Any]]], list[str]]:
+) -> tuple[dict[str, Any], list[str]]:
     """Attach closed-form MSEs and relative errors to a simulation report."""
-    rows_out: list[dict[str, Any]] = []
+    rows: list[dict[str, Any]] = []
     warnings: list[str] = []
     for row in result.rows:
         if row.estimator == "mean" and not include_mean:
@@ -455,16 +425,15 @@ def _sim_results(
             "theoretical_mse": theoretical,
             "relative_error": rel_err,
         }
-        rows_out.append({k: _jsonable(values[k]) for k in _SIM_COLUMNS})
+        rows.append({k: values[k] for k in _SIM_COLUMNS})
     results = {
         "mode": result.mode,
         "n": result.n,
         "samples": result.samples,
         "true_mean": result.true_mean,
-        "rows": rows_out,
+        "rows": rows,
     }
-    csv_rows = [[r[k] for k in _SIM_COLUMNS] for r in rows_out]
-    return results, (_SIM_COLUMNS, csv_rows), warnings
+    return results, warnings
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -472,10 +441,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     pop, echo = _load_population_source(args, seed)
     params = compute_params(pop)
     include_mean, ids = _parse_estimators(args.estimators)
-    if args.replicates < 1:
-        raise CliError(f"--replicates must be at least 1, got {args.replicates}")
-    if not 2 <= args.n < pop.N:
-        raise CliError(f"--n must satisfy 2 <= n < {pop.N}, got {args.n}")
     config = SimConfig(
         n=args.n,
         replicates=args.replicates,
@@ -485,23 +450,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     result = monte_carlo(pop, config)
     echo = {**echo, "n": args.n, "replicates": args.replicates, "seed": seed, "policy": args.policy}
-    results, csv_rows, warnings = _sim_results(result, params, include_mean)
-    _emit(args, "simulate", echo, results, warnings, csv_rows)
+    results, warnings = _sim_results(result, params, include_mean)
+    _emit(args, "simulate", echo, results, warnings, results["rows"])
     return EXIT_OK
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    if not args.input:
-        raise CliError("--input is required")
     pop = load_population(args.input)
     params = compute_params(pop)
     include_mean, ids = _parse_estimators(args.estimators)
-    if not 2 <= args.n < pop.N:
-        raise CliError(f"--n must satisfy 2 <= n < {pop.N}, got {args.n}")
     result = enumerate_all_samples(pop, args.n, ids, args.policy)
     echo = {"input": args.input, "N": pop.N, "n": args.n, "policy": args.policy}
-    results, csv_rows, warnings = _sim_results(result, params, include_mean)
-    _emit(args, "enumerate", echo, results, warnings, csv_rows)
+    results, warnings = _sim_results(result, params, include_mean)
+    _emit(args, "enumerate", echo, results, warnings, results["rows"])
     return EXIT_OK
 
 

@@ -154,13 +154,8 @@ class SampleStats:
 
 
 def compute_sample_stats(sample: SampleData) -> SampleStats:
-    """Compute divisor-(n-1) sample statistics.
-
-    Raises SampleTooSmallError for n < 2 (also enforced by SampleData).
-    """
+    """Compute divisor-(n-1) sample statistics; SampleData ensures n >= 2."""
     n = sample.n
-    if n < 2:
-        raise SampleTooSmallError(f"sample statistics need n >= 2, got {n}")
     ybar = float(sample.y.mean())
     a = int(sample.phi.sum())
     p = a / n

@@ -210,7 +210,7 @@ def compute_params(pop: FinitePopulation) -> PopulationParams:
         )
     ybar = float(pop.y.mean())
     p = a / n_units
-    q = 1.0 - p
+    q = (n_units - a) / n_units  # correctly rounded; 1 - p loses digits as p nears 1
     dev_y = pop.y - ybar
     s_y2 = float(dev_y @ dev_y) / (n_units - 1)
     if s_y2 == 0.0:

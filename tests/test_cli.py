@@ -65,6 +65,44 @@ class TestEnvelope:
             assert envelope["command"] == argv[0]
             assert isinstance(envelope["warnings"], list)
 
+    @pytest.mark.parametrize(
+        "argv, table",
+        [
+            pytest.param(
+                ("params", "--moments", VILLAGE_MOMENTS),
+                lambda r: [{**r["params"], "beta2_source": r["beta2_source"]}],
+                id="params",
+            ),
+            pytest.param(("pre", "--moments", VILLAGE_MOMENTS, "--n", "23"), lambda r: r["table"], id="pre"),
+            pytest.param(
+                ("estimate", "--input", "pop4", "--sample", "1,2", "--estimators", "ng,t1"),
+                lambda r: r["estimates"],
+                id="estimate",
+            ),
+            pytest.param(
+                ("simulate", "--input", "uncorrelated", "--n", "3", "--replicates", "100"),
+                lambda r: r["rows"],
+                id="simulate",
+            ),
+            pytest.param(("enumerate", "--input", "pop4", "--n", "2"), lambda r: r["rows"], id="enumerate"),
+        ],
+    )
+    def test_csv_is_the_json_table(self, capsys, request, argv, table):
+        # The CSV header is the JSON rows' keys; a null is an empty field and
+        # PRE is printed to two decimals.
+        argv = [request.getfixturevalue(a) if a in ("pop4", "uncorrelated") else a for a in argv]
+        rows = table(run_json(capsys, *argv)["results"])
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        header, *lines = out.splitlines()
+        assert header.split(",") == list(rows[0])
+        assert len(lines) == len(rows)
+        for line, row in zip(lines, rows):
+            expected = [
+                "" if v is None else f"{v:.2f}" if k == "pre" else str(v) for k, v in row.items()
+            ]
+            assert line.split(",") == expected
+
 
 class TestParams:
     def test_moments_with_closed_form_beta2(self, capsys):
@@ -206,8 +244,10 @@ class TestPre:
         assert all(p <= 100.0 for p in defined)
 
     def test_invalid_n_rejected(self, capsys):
-        code, _, err = run(capsys, "pre", "--moments", VILLAGE_MOMENTS, "--n", "90")
+        code, out, err = run(capsys, "pre", "--moments", VILLAGE_MOMENTS, "--n", "90")
         assert code == 2
+        assert out == ""
+        assert err == "error: sample size must satisfy 1 <= n <= 89, got 90\n"
 
     def test_nonpositive_n_rejected_without_population_size(self, capsys):
         code, _, err = run(capsys, "pre", "--moments", "Ybar=3.36,P=0.1236,rho=0.766,Cy=0.604,Cp=2.19", "--n", "-5")
@@ -283,8 +323,16 @@ class TestSimulate:
         assert run_json(capsys, *argv) == run_json(capsys, *argv)
 
     def test_zero_replicates_rejected(self, capsys, pop4):
-        code, _, err = run(capsys, "simulate", "--input", pop4, "--n", "2", "--replicates", "0")
+        code, out, err = run(capsys, "simulate", "--input", pop4, "--n", "2", "--replicates", "0")
         assert code == 2
+        assert out == ""
+        assert err == "error: replicates must be at least 1, got 0\n"
+
+    def test_out_of_range_n_rejected(self, capsys, pop4):
+        code, out, err = run(capsys, "simulate", "--input", pop4, "--n", "9", "--replicates", "10")
+        assert code == 2
+        assert out == ""
+        assert err == "error: Monte Carlo needs 2 <= n < 4, got 9\n"
 
     def test_error_policy_exit_code(self, capsys, pop4):
         code, _, err = run(
@@ -355,6 +403,12 @@ class TestEnumerate:
         assert rows["ng"]["degenerate_count"] == 2
         assert any("degenerate" in w for w in envelope["warnings"])
 
+    def test_census_n_rejected(self, capsys, pop4):
+        code, out, err = run(capsys, "enumerate", "--input", pop4, "--n", "4")
+        assert code == 2
+        assert out == ""
+        assert err == "error: enumeration needs 2 <= n < 4, got 4\n"
+
     def test_guard_exit_code_and_count(self, capsys, tmp_path):
         path = tmp_path / "big.csv"
         rows = "\n".join(f"{i},{i % 2}" for i in range(30))
@@ -412,6 +466,14 @@ class TestParsing:
     def test_unreadable_input_path(self, capsys):
         code, _, err = run(capsys, "params", "--input", "/nonexistent/file.csv")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv", [("estimate", "--sample", "1,2"), ("enumerate", "--n", "2")], ids=lambda v: v[0]
+    )
+    def test_empty_input_path_rejected(self, capsys, argv):
+        code, out, _ = run(capsys, argv[0], "--input", "", *argv[1:])
+        assert code == 2
+        assert out == ""
 
     def test_malformed_csv_names_line(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"

@@ -141,6 +141,14 @@ class TestComputeParams:
         for field in ("Ybar", "P", "S_y2", "S_phi2", "S_yphi", "rho_pb", "C_y", "C_p", "beta2_phi"):
             assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-12, abs=1e-12)
 
+    def test_complement_exact_when_nearly_every_unit_holds(self):
+        # 1 - P rounds to 0.007462686567164201 here; (N - a)/N is exactly 1/134.
+        n = 134
+        phi = np.array([1] * (n - 1) + [0])
+        p = compute_params(FinitePopulation(y=np.arange(1.0, n + 1.0), phi=phi))
+        assert p.Q == 1 / 134
+        assert p.S_phi2 == n * p.P * (1 / 134) / (n - 1)
+
     @given(st.integers(min_value=1, max_value=29), st.integers(min_value=30, max_value=60))
     def test_binary_variance_identity(self, a, n):
         # S_phi2 * (N-1) must equal N*P*(1-P) for any binary vector.
