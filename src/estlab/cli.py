@@ -165,13 +165,13 @@ _SYNTH_KEYS = {
 
 def _load_params_source(args: argparse.Namespace) -> tuple[PopulationParams, dict[str, Any], str]:
     """Resolve --input vs --moments into parameters plus an input echo."""
-    if getattr(args, "input", None) and getattr(args, "moments", None):
+    if args.input is not None and args.moments is not None:
         raise CliError("give exactly one of --input or --moments")
-    if getattr(args, "input", None):
+    if args.input is not None:
         pop = load_population(args.input)
         params = compute_params(pop)
         return params, {"input": args.input, "N": pop.N}, "closed-form"
-    if getattr(args, "moments", None):
+    if args.moments is not None:
         kv = _parse_kv_list(args.moments, _MOMENT_KEYS, "--moments")
         for required in ("Ybar", "P", "rho", "Cy", "Cp"):
             if required not in kv:
@@ -213,12 +213,12 @@ def _moment_warnings(params: PopulationParams, beta2_source: str) -> list[str]:
 
 
 def _load_population_source(args: argparse.Namespace, seed: int) -> tuple[FinitePopulation, dict[str, Any]]:
-    if getattr(args, "input", None) and getattr(args, "synth", None):
+    if args.input is not None and args.synth is not None:
         raise CliError("give exactly one of --input or --synth")
-    if getattr(args, "input", None):
+    if args.input is not None:
         pop = load_population(args.input)
         return pop, {"input": args.input, "N": pop.N}
-    if getattr(args, "synth", None):
+    if args.synth is not None:
         kv = _parse_kv_list(args.synth, _SYNTH_KEYS, "--synth")
         for required in ("N", "P"):
             if required not in kv:

@@ -14,10 +14,12 @@ of variation, or the point-biserial correlation).  Ten named members
 ``t_NG = ybar * P / p`` (Naik-Gupta) is t1's form, (m1, m2) = (1, 0), with
 the slope term dropped (b_phi = 0).
 
-The expression is written once, in :func:`family_estimate`.  It is
-elementwise, so the scalar estimators below and the batch kernel in
-:mod:`estlab.simulation` evaluate the same arithmetic for every row, NG
-included; each guards its own undefined cases before calling it.
+The expression is written once, in :func:`family_estimate`.  The scalar
+estimators below call it on each sample, NG included.  The batch kernel in
+:mod:`estlab.simulation` calls it once per row over the attribute counts
+a = 0..n, with ybar = 1 and b_phi = 0, to get the factor that scales the
+slope-adjusted sample mean at each a.  Each caller guards its own undefined
+cases.
 """
 
 from __future__ import annotations

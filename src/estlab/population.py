@@ -140,7 +140,11 @@ def bernoulli_kurtosis(p: float) -> float:
     """
     if not 0.0 < p < 1.0:
         raise InvalidMomentsError(f"attribute proportion must lie strictly in (0,1), got {p}")
-    pq = p * (1.0 - p)
+    return _kurtosis_from_pq(p * (1.0 - p))
+
+
+def _kurtosis_from_pq(pq: float) -> float:
+    """Bernoulli kurtosis (1 - 3pq) / (pq), given the product pq."""
     return (1.0 - 3.0 * pq) / pq
 
 
@@ -234,7 +238,7 @@ def compute_params(pop: FinitePopulation) -> PopulationParams:
         rho_pb=s_yphi / (s_y * s_phi),
         C_y=s_y / ybar,
         C_p=s_phi / p,
-        beta2_phi=bernoulli_kurtosis(p),
+        beta2_phi=_kurtosis_from_pq(p * q),
         Ybar0=ybar0,
         S_e2=float(dev_e @ dev_e) / (n_units - 1),
         N=n_units,

@@ -12,9 +12,16 @@ The kernel reads each sample only through three sums: the attribute count
 ``a``, ``sum y`` and ``sum y*phi``, with y centred at the population mean.
 On a 0/1 attribute the sample regression slope is the difference of group
 means, ``b_phi = ybar1 - ybar0``, so these sums determine every estimator.
-Every ratio-type row comes from :func:`~estlab.estimators.family_estimate`,
-as in the scalar estimators, resolved once to its (m1, m2) and whether it
-uses the slope; the plain ratio estimator (NG) is t1's (1, 0) without it.
+Each ratio-type row is resolved once to its (m1, m2) and whether it uses
+the slope; the plain ratio estimator (NG) is t1's (1, 0) without it.  At a
+fixed ``a`` every row is a factor ``K(a)`` times ``Ybar + v``, where the
+centred numerator v is the slope-adjusted sample mean minus ``Ybar`` for
+the family members, and the plain one for NG.  The factor tables come from
+:func:`~estlab.estimators.family_estimate` at a = 0..n, as the scalar
+estimators' values do.  So the kernel reduces each chunk of samples to the
+count, mean and sum of squared deviations of the two numerators at each
+``a``, and evaluates all rows at once on ``(rows, n+1)`` tables; its
+per-sample work does not depend on the number of rows.
 Monte Carlo gathers the sums of each drawn sample from its unit indices.
 Enumeration lists no subset's units: it builds the sums of all k-subsets
 from those of the (k-1)-subsets, level by level up to n, in the
@@ -45,8 +52,11 @@ batch layout, thread count, or evaluation order.  Chunks of
 CPUs this process may use, at most 4), at most one chunk per thread ahead
 of the estimators.  The estimators run on the calling thread over the
 chunks in replicate-index order, and the chunk size depends only on N, so
-the output is bit-identical whatever the thread count.  Samples are
-aggregated with exact summation over chunk subtotals.  Synthetic-population
+the output is bit-identical whatever the thread count.  Within a chunk,
+the ratio rows' sums by ``a`` are taken over blocks of 128 samples, and
+the block subtotals pairwise; chunk subtotals are added with exact
+summation.
+Synthetic-population
 noise uses the same keyed generator from a disjoint counter block, so a
 shared seed never reuses a stream.
 """
@@ -247,7 +257,7 @@ def _normalize_estimators(estimators: Iterable[EstimatorId] | None) -> tuple[Est
 
 
 class _Accumulator:
-    """Streaming sums for one estimator row, in sample order."""
+    """Streaming sums for one estimator row, one subtotal per chunk."""
 
     __slots__ = ("sum_d", "sum_d2", "count", "degenerate")
 
@@ -257,10 +267,10 @@ class _Accumulator:
         self.count = 0
         self.degenerate = 0
 
-    def add(self, deviations: np.ndarray, skipped: int) -> None:
-        self.sum_d.append(float(deviations.sum()))
-        self.sum_d2.append(float((deviations * deviations).sum()))
-        self.count += int(deviations.size)
+    def add(self, sum_d: float, sum_d2: float, count: int, skipped: int) -> None:
+        self.sum_d.append(sum_d)
+        self.sum_d2.append(sum_d2)
+        self.count += count
         self.degenerate += skipped
 
     def summarize(self, label: str, true_mean: float, mean_mse: float | None) -> EstimatorSummary:
@@ -290,36 +300,77 @@ def _unit_columns(pop: FinitePopulation) -> tuple[float, np.ndarray]:
 
 def _row_plan(
     params: PopulationParams, n: int, estimators: tuple[EstimatorId, ...], policy: DegeneratePolicy
-) -> list[tuple[str, float, float, bool, np.ndarray]]:
-    """Resolve each requested row once to (label, m1, m2, uses_slope, defined).
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """Resolve the requested rows once to (labels, uses_slope, defined, factor).
 
-    NG is t1's form (1, 0) without the slope term.  ``defined[a]`` tells
-    whether the row can be evaluated on a sample holding a = 0..n attribute
+    NG is t1's form (1, 0) without the slope term.  ``defined[r, a]`` tells
+    whether row r can be evaluated on a sample holding a = 0..n attribute
     units: the attribute is not constant and ``m1*(a/n) + m2`` is nonzero.
-    A form whose m1 resolves to zero raises UndefinedConstantError under
-    ``error``; under ``skip`` it becomes (0, 0), which is defined nowhere.
+    ``factor[r, a]`` is the row's estimate over the slope-adjusted sample
+    mean there, ``family_estimate(1, a/n, P, 0, m1, m2)``, and 0 where the
+    row is not defined.  A form whose m1 resolves to zero raises
+    UndefinedConstantError under ``error``; under ``skip`` it becomes
+    (0, 0), which is defined nowhere.
     """
     counts = np.arange(n + 1)
     p = counts / n  # the kernel's a / n, so the denominators round alike
     interior = (counts > 0) & (counts < n)
-    plan = []
+    labels, uses_slope, defined, factor = [], [], [], []
     for e in estimators:
-        uses_slope = e is not EstimatorId.NG
+        slope = e is not EstimatorId.NG
         try:
-            m1, m2 = resolve_form(FAMILY_FORMS[e if uses_slope else EstimatorId.T1], params)
+            m1, m2 = resolve_form(FAMILY_FORMS[e if slope else EstimatorId.T1], params)
         except UndefinedConstantError:
             if policy == "error":
                 raise
             m1 = m2 = 0.0
-        plan.append((e.value, m1, m2, uses_slope, interior & (m1 * p + m2 != 0.0)))
-    return plan
+        ok = interior & (m1 * p + m2 != 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = family_estimate(1.0, p, params.P, 0.0, m1, m2)
+        labels.append(e.value)
+        uses_slope.append(slope)
+        defined.append(ok)
+        factor.append(np.where(ok, k, 0.0))
+    return labels, np.array(uses_slope), np.array(defined), np.array(factor)
 
 
-def _undefined_reason(plan: list, n: int, a: int) -> str:
+def _undefined_reason(labels: list[str], defined: np.ndarray, n: int, a: int) -> str:
     """Why a sample holding ``a`` attribute units fails some requested row."""
     if a in (0, n):
         return "sample attribute is constant (p is 0 or 1)"
-    return "zero denominator for " + next(row[0] for row in plan if not row[-1][a])
+    return "zero denominator for " + next(label for label, ok in zip(labels, defined[:, a]) if not ok)
+
+
+#: Samples per block when summing by attribute count (see _ByCount).
+_SUM_BLOCK = 128
+
+
+class _ByCount:
+    """The samples of one chunk grouped by attribute count a = 0..n.
+
+    ``np.bincount`` adds each group in sample order, so its rounding error
+    would grow with the chunk.  Each group is summed instead over blocks of
+    ``_SUM_BLOCK`` consecutive samples, and the block subtotals pairwise,
+    as numpy's own pairwise summation does at its leaves of 128 terms.
+    """
+
+    def __init__(self, a: np.ndarray, n: int) -> None:
+        blocks = -(-a.size // _SUM_BLOCK)
+        self.a = a
+        self.count = np.bincount(a, minlength=n + 1)
+        self.keys = a * blocks + np.arange(a.size) // _SUM_BLOCK
+        self.cells = (n + 1) * blocks
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        cells = np.bincount(self.keys, weights=values, minlength=self.cells)
+        return cells.reshape(self.count.size, -1).sum(axis=1)
+
+    def moments(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per count, the mean of ``v`` and the sum of squared deviations
+        from it, in two passes (0 and 0 where no sample holds that count)."""
+        mean = np.divide(self.sums(v), self.count, out=np.zeros(self.count.size), where=self.count > 0)
+        r = v - mean[self.a]
+        return mean, self.sums(r * r)
 
 
 def _run_batches(
@@ -337,34 +388,61 @@ def _run_batches(
     ``batches`` yields (start_index, a, sum_yc, sum_ycphi) in sample order:
     per sample, the attribute count and the sums of ``y - true_mean`` and
     ``(y - true_mean)*phi``.
+
+    Each chunk is reduced to two centred numerators per sample: ``u``, the
+    sample mean minus ``true_mean``, and ``x = u + (P - a/n)*b_phi``, with
+    b_phi the difference of group means (taken as 0 where a is 0 or n).
+    At a fixed a, a row's deviation from ``true_mean`` is
+    ``(K - 1)*true_mean + K*v``, with K the row's factor at a and v its
+    numerator (``u`` for NG, ``x`` for slope rows).  So every row's sum and
+    sum of squares of deviations over the chunk follow from the count, the
+    mean and the sum of squared deviations of u and x at each a = 0..n:
+    per-sample work does not grow with the number of rows, and every term
+    of the sum of squares is nonnegative.  The sample-mean row sums u and
+    u*u directly.
     """
     params = compute_params(pop) if estimators else None
-    plan = _row_plan(params, n, estimators, policy) if params is not None else []
-    evaluable = np.logical_and.reduce([row[-1] for row in plan]) if plan else None
-    acc = {"mean": _Accumulator(), **{row[0]: _Accumulator() for row in plan}}
+    if params is not None:
+        labels, uses_slope, defined, factor = _row_plan(params, n, estimators, policy)
+        evaluable = defined.all(axis=0)
+        counts = np.arange(n + 1)
+        interior = (counts > 0) & (counts < n)
+        # x = u + w1[a]*sum_ycphi - w0[a]*(sum_yc - sum_ycphi), which is
+        # u + (P - a/n)*(ybar1 - ybar0) with y centred at true_mean.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            shift = params.P - counts / n
+            w1 = np.where(interior, shift / counts, 0.0)
+            w0 = np.where(interior, shift / (n - counts), 0.0)
+        row_numerator = uses_slope.astype(np.intp)  # 0: u, 1: x
+    else:
+        labels = []
+    acc = {"mean": _Accumulator(), **{label: _Accumulator() for label in labels}}
 
     for start, a, sum_yc, sum_ycphi in batches:
-        ybar_c = sum_yc / n
-        acc["mean"].add(ybar_c, 0)
-        if params is None or evaluable is None:
+        u = sum_yc / n
+        acc["mean"].add(float(u.sum()), float((u * u).sum()), int(u.size), 0)
+        if not labels:
             continue
         a_int = a.astype(np.intp)
-        if policy == "error" and not evaluable[a_int].all():
+        groups = _ByCount(a_int, n)
+        if policy == "error" and groups.count[~evaluable].any():
             first = int(np.argmin(evaluable[a_int]))
-            reason = _undefined_reason(plan, n, int(a_int[first]))
+            reason = _undefined_reason(labels, defined, n, int(a_int[first]))
             raise DegenerateSampleError(reason, replicate=start + first)
-        p = a / n
-        ybar = true_mean + ybar_c
 
-        # Degenerate rows divide by zero in b_phi, and zero-denominator rows
-        # in family_estimate; the defined tables drop both before accumulation.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            b_phi = sum_ycphi / a - (sum_yc - sum_ycphi) / (n - a)
-            for label, m1, m2, uses_slope, defined in plan:
-                mask = defined[a_int]
-                vals = family_estimate(ybar, p, params.P, b_phi if uses_slope else 0.0, m1, m2)
-                acc[label].add(vals[mask] - true_mean, mask.size - int(np.count_nonzero(mask)))
-                del vals  # one row's estimates in memory at a time
+        mean = np.zeros((2, n + 1))
+        m2 = np.zeros((2, n + 1))
+        if not uses_slope.all():
+            mean[0], m2[0] = groups.moments(u)
+        if uses_slope.any():
+            x = u + w1[a_int] * sum_ycphi - w0[a_int] * (sum_yc - sum_ycphi)
+            mean[1], m2[1] = groups.moments(x)
+        kept = groups.count * defined  # (rows, n + 1)
+        g = (factor - 1.0) * true_mean + factor * mean[row_numerator]
+        sum_d = (kept * g).sum(axis=1)
+        sum_d2 = (factor * factor * m2[row_numerator] + kept * g * g).sum(axis=1)
+        for label, s, s2, c in zip(labels, sum_d, sum_d2, kept.sum(axis=1)):
+            acc[label].add(float(s), float(s2), int(c), int(a.size - c))
 
     mean_row = acc["mean"].summarize("mean", true_mean, None)
     mean_mse = mean_row.empirical_mse if mean_row.effective_replicates else None

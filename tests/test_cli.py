@@ -468,12 +468,22 @@ class TestParsing:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "argv", [("estimate", "--sample", "1,2"), ("enumerate", "--n", "2")], ids=lambda v: v[0]
+        "argv",
+        [
+            ("params",),
+            ("pre",),
+            ("estimate", "--sample", "1,2"),
+            ("simulate", "--n", "2", "--replicates", "5"),
+            ("enumerate", "--n", "2"),
+        ],
+        ids=lambda v: v[0],
     )
     def test_empty_input_path_rejected(self, capsys, argv):
-        code, out, _ = run(capsys, argv[0], "--input", "", *argv[1:])
+        # An empty --input is a path that cannot be opened, not a missing one.
+        code, out, err = run(capsys, argv[0], "--input", "", *argv[1:])
         assert code == 2
         assert out == ""
+        assert "No such file or directory" in err
 
     def test_malformed_csv_names_line(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"

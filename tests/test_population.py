@@ -2,6 +2,7 @@
 
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -148,6 +149,14 @@ class TestComputeParams:
         p = compute_params(FinitePopulation(y=np.arange(1.0, n + 1.0), phi=phi))
         assert p.Q == 1 / 134
         assert p.S_phi2 == n * p.P * (1 / 134) / (n - 1)
+
+    def test_kurtosis_exact_when_nearly_every_unit_holds(self):
+        # With q = 1 - P the kurtosis would read 132.0075187969921.
+        n = 134
+        phi = np.array([1] * (n - 1) + [0])
+        p = compute_params(FinitePopulation(y=np.arange(1.0, n + 1.0), phi=phi))
+        pq = Fraction(n - 1, n) * Fraction(1, n)
+        assert p.beta2_phi == float((1 - 3 * pq) / pq) == 132.00751879699249
 
     @given(st.integers(min_value=1, max_value=29), st.integers(min_value=30, max_value=60))
     def test_binary_variance_identity(self, a, n):

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -32,6 +33,7 @@ from estlab import (
     variance_sample_mean,
 )
 from estlab import simulation
+from estlab.estimators import FAMILY_FORMS, resolve_form
 
 DEFAULT_BATCH_ELEMENTS = simulation._BATCH_ELEMENTS
 
@@ -80,6 +82,49 @@ def brute_force_rows(pop, n, estimators):
             "kept": len(values),
         }
     return out
+
+
+def exact_rows(pop, n):
+    """Exact rational oracle: bias, MSE and skip count of every row over all
+    n-subsets, each estimate evaluated in Fractions from the float data.
+
+    The constants (m1, m2) are the float ones the library resolves, and a
+    row is skipped where the scalar estimators refuse it: a constant sample
+    attribute, or a zero float denominator ``m1*p + m2``.
+    """
+    params = compute_params(pop)
+    ys = [Fraction(float(v)) for v in pop.y]
+    Ybar = sum(ys) / pop.N
+    P = Fraction(pop.attribute_count, pop.N)
+    # NG is t1's form (1, 0) without the slope.
+    forms = {e: resolve_form(FAMILY_FORMS[e if e is not EstimatorId.NG else EstimatorId.T1], params)
+             for e in EstimatorId}
+    deviations = {"mean": [], **{e.value: [] for e in EstimatorId}}
+    skipped = dict.fromkeys(deviations, 0)
+    for subset in combinations(range(pop.N), n):
+        held = [ys[i] for i in subset if pop.phi[i]]
+        rest = [ys[i] for i in subset if not pop.phi[i]]
+        ybar = (sum(held) + sum(rest)) / n
+        deviations["mean"].append(ybar - Ybar)
+        a = len(held)
+        for e, (m1, m2) in forms.items():
+            if a in (0, n) or m1 * (a / n) + m2 == 0.0:
+                skipped[e.value] += 1
+                continue
+            p = Fraction(a, n)
+            b = 0 if e is EstimatorId.NG else sum(held) / a - sum(rest) / (n - a)
+            k1, k2 = Fraction(m1), Fraction(m2)
+            t = ybar if p == P else (ybar + b * (P - p)) / (k1 * p + k2) * (k1 * P + k2)
+            deviations[e.value].append(t - Ybar)
+    out = {}
+    for label, d in deviations.items():
+        kept = len(d)
+        out[label] = {
+            "bias": float(sum(d) / kept) if kept else math.nan,
+            "mse": float(sum(v * v for v in d) / kept) if kept else math.nan,
+            "skipped": skipped[label],
+        }
+    return out, float(Ybar)
 
 
 class TestDrawSrswor:
@@ -191,6 +236,32 @@ class TestEnumerateGeneral:
                 assert row.degenerate_count == expected["skipped"]
                 assert row.effective_replicates == expected["kept"]
 
+    def test_matches_exact_rational_evaluation(self):
+        # Four holders among ten units; at n = 5 the samples holding two
+        # hit the p == P collapse.  The 1e6 offset makes every ratio row's
+        # deviation mostly (K(a) - 1) * Ybar.  ZERO_T4_FIRST has samples on
+        # which t4's denominator is zero.
+        rng = np.random.default_rng(2024)
+        phi = np.array([1] * 4 + [0] * 6)
+        noise = rng.normal(0.0, 1.0, 10)
+        cases = [
+            (FinitePopulation(y=offset + 2.0 * phi + noise, phi=phi), n)
+            for offset in (50.0, 1e6)
+            for n in (4, 5)
+        ]
+        cases.append((ZERO_T4_FIRST, 3))
+        for pop, n in cases:
+            oracle, Ybar = exact_rows(pop, n)
+            result = enumerate_all_samples(pop, n, list(EstimatorId))
+            assert len(result.rows) == 12
+            for row in result.rows:
+                expected = oracle[row.estimator]
+                assert row.degenerate_count == expected["skipped"]
+                if not row.effective_replicates:
+                    continue
+                assert row.empirical_mse == pytest.approx(expected["mse"], rel=1e-12, abs=0.0)
+                assert abs(row.empirical_bias - expected["bias"]) <= 1e-12 * abs(Ybar)
+
     def test_skip_accounting_hypergeometric(self):
         # Degenerate subsets are exactly those drawn entirely inside or
         # entirely outside the attribute class: C(N-A, n) + C(A, n).
@@ -276,15 +347,19 @@ class TestMonteCarlo:
         assert monte_carlo(pop, config) == monte_carlo(pop, config)
 
     def test_batch_partition_is_immaterial(self, monkeypatch):
-        pop = synthesize_population(SyntheticSpec(N=15, P_target=0.4, intercept=6, attribute_effect=2), seed=3)
-        config = SimConfig(n=4, replicates=5000, seed=11, estimators=(EstimatorId.T2,))
+        # ~6% of the samples have a constant attribute and are skipped.
+        pop = synthesize_population(SyntheticSpec(N=12, P_target=0.5, attribute_effect=2.0), seed=1)
+        config = SimConfig(n=4, replicates=5000, seed=11)
         large = monte_carlo(pop, config)  # one chunk
-        # The chunk is _BATCH_ELEMENTS // (4 * N) rows: 137 here.
-        monkeypatch.setattr(simulation, "_BATCH_ELEMENTS", 4 * pop.N * 137)
+        # The chunk is _BATCH_ELEMENTS // (4 * N) rows: 7 here.
+        monkeypatch.setattr(simulation, "_BATCH_ELEMENTS", 4 * pop.N * 7)
         small = monte_carlo(pop, config)
+        assert len(small.rows) == 12
+        assert 0 < large.row("t2").degenerate_count < large.samples
         for a, b in zip(small.rows, large.rows):
             assert a.estimator == b.estimator
             assert a.effective_replicates == b.effective_replicates
+            assert a.degenerate_count == b.degenerate_count
             assert a.empirical_mse == pytest.approx(b.empirical_mse, rel=1e-12)
             assert a.empirical_bias == pytest.approx(b.empirical_bias, rel=1e-9, abs=1e-12)
 
