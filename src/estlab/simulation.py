@@ -1,31 +1,33 @@
 """Empirical verification engine: SRSWOR draws, exhaustive enumeration,
 seeded Monte Carlo, and synthetic population generation.
 
-Both verification modes evaluate the same vectorised kernel over batches of
-samples and report, per estimator, the empirical mean, bias and mean squared
-error measured against the true population mean, plus an empirical percent
-relative efficiency against the sample mean.  Enumeration visits every
-n-subset exactly once, so its numbers are exact design expectations (over
-the non-degenerate samples); Monte Carlo replicates independent draws.
+Both verification modes report, per estimator, the empirical mean, bias
+and mean squared error measured against the true population mean, plus an
+empirical percent relative efficiency against the sample mean.
+Enumeration covers every n-subset exactly once, so its numbers are exact
+design expectations (over the non-degenerate samples); Monte Carlo
+replicates independent draws.
 
-The kernel reads each sample only through three sums: the attribute count
-``a``, ``sum y`` and ``sum y*phi``, with y centred at the population mean.
-On a 0/1 attribute the sample regression slope is the difference of group
-means, ``b_phi = ybar1 - ybar0``, so these sums determine every estimator.
-Each ratio-type row is resolved once to its (m1, m2) and whether it uses
-the slope; the plain ratio estimator (NG) is t1's (1, 0) without it.  At a
-fixed ``a`` every row is a factor ``K(a)`` times ``Ybar + v``, where the
-centred numerator v is the slope-adjusted sample mean minus ``Ybar`` for
-the family members, and the plain one for NG.  The factor tables come from
-:func:`~estlab.estimators.family_estimate` at a = 0..n, as the scalar
-estimators' values do.  So the kernel reduces each chunk of samples to the
-count, mean and sum of squared deviations of the two numerators at each
-``a``, and evaluates all rows at once on ``(rows, n+1)`` tables; its
-per-sample work does not depend on the number of rows.
-Monte Carlo gathers the sums of each drawn sample from its unit indices.
-Enumeration lists no subset's units: it builds the sums of all k-subsets
-from those of the (k-1)-subsets, level by level up to n, in the
-lexicographic order of :func:`itertools.combinations`.
+Every estimator reads a sample only through three sums: the attribute
+count ``a``, ``sum y`` and ``sum y*phi``, with y centred at the population
+mean.  On a 0/1 attribute the sample regression slope is the difference of
+group means, ``b_phi = ybar1 - ybar0``, so these sums determine every
+estimator.  Each ratio-type row is resolved once to its (m1, m2) and
+whether it uses the slope; the plain ratio estimator (NG) is t1's (1, 0)
+without it.  At a fixed ``a`` every row is a factor ``K(a)`` times
+``Ybar + v``, where the centred numerator v is the slope-adjusted sample
+mean minus ``Ybar`` for the family members, and the plain one for NG.  The
+factor tables come from :func:`~estlab.estimators.family_estimate` at
+a = 0..n, as the scalar estimators' values do.  So both modes reduce the
+samples to the count, mean and sum of squared deviations of the two
+numerators at each ``a``, and one function evaluates all rows at once on
+``(rows, n+1)`` tables; the per-sample work does not depend on the number
+of rows.
+Monte Carlo gathers the sums of each drawn sample from its unit indices
+and takes the tables over chunks of samples.  Enumeration does no work per
+n-subset: the subsets holding ``a`` holders are the pairs of an a-subset of
+the holders and an (n-a)-subset of the non-holders, so its tables follow
+exactly from the sums of every k-subset of each group alone.
 
 Degenerate samples and the skip policy
 --------------------------------------
@@ -37,8 +39,10 @@ resolves to zero.  Under the default ``skip`` policy a row leaves out and
 counts the samples it is not defined on; every ratio-type row skips the
 constant-attribute ones.  The built-in sample-mean benchmark is never
 skipped.  Under the ``error`` policy the first sample that some requested
-row cannot evaluate aborts the run, whatever the chunk size, and an
-undefined form aborts it before any sample.
+row cannot evaluate aborts the run, and an undefined form aborts it before
+any sample.  The error names that sample's index: its replicate index in
+Monte Carlo, whatever the chunk size, and its position in
+:func:`itertools.combinations` order in enumeration.
 
 Reproducibility
 ---------------
@@ -105,7 +109,8 @@ _SYNTH_COUNTER_BLOCK = 1 << 128
 
 _MAX_SEED = 2**64 - 1
 
-#: Target element count of the uniform deviates held at once (about 32 MB).
+#: Target element count of the uniform deviates a Monte Carlo chunk holds
+#: at once (about 32 MB); a chunk is ``_BATCH_ELEMENTS // (4 * N)`` rows.
 _BATCH_ELEMENTS = 4_000_000
 
 
@@ -373,6 +378,56 @@ class _ByCount:
         return mean, self.sums(r * r)
 
 
+def _slope_weights(P: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per count a = 0..n, the weights (w1, w0) that give the slope-adjusted
+    numerator ``x = u + w1[a]*sum_ycphi - w0[a]*(sum_yc - sum_ycphi)``, which
+    is ``u + (P - a/n)*(ybar1 - ybar0)`` with y centred; 0 where a is 0 or n."""
+    counts = np.arange(n + 1)
+    interior = (counts > 0) & (counts < n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = P - counts / n
+        w1 = np.where(interior, shift / counts, 0.0)
+        w0 = np.where(interior, shift / (n - counts), 0.0)
+    return w1, w0
+
+
+def _row_sums(
+    factor: np.ndarray, defined: np.ndarray, true_mean: float, count: np.ndarray, mean: np.ndarray, m2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row, the sum and the sum of squares of the deviations from
+    ``true_mean``, and the number of samples kept, from per-count tables.
+
+    ``factor`` and ``defined`` are the (rows, n+1) tables of :func:`_row_plan`;
+    ``count`` holds the samples at each a = 0..n, and ``mean`` and ``m2``
+    the mean and the sum of squared deviations of each row's numerator v
+    there.  At a fixed a a row's deviation is ``(K - 1)*true_mean + K*v``,
+    so every term of the sum of squares is nonnegative.
+    """
+    kept = count * defined
+    g = (factor - 1.0) * true_mean + factor * mean
+    sum_d = (kept * g).sum(axis=1)
+    sum_d2 = (factor * factor * m2 + kept * g * g).sum(axis=1)
+    return sum_d, sum_d2, kept.sum(axis=1)
+
+
+def _summarize(
+    acc: dict[str, _Accumulator],
+    estimators: tuple[EstimatorId, ...],
+    n: int,
+    total: int,
+    true_mean: float,
+    mode: str,
+) -> SimResult:
+    """The sample-mean row, then each requested row, with PREs against the mean."""
+    mean_row = acc["mean"].summarize("mean", true_mean, None)
+    mean_mse = mean_row.empirical_mse if mean_row.effective_replicates else None
+    if mean_mse is not None and mean_mse > 0.0:
+        mean_row = replace(mean_row, empirical_pre=100.0)
+    rows_out = [mean_row]
+    rows_out.extend(acc[e.value].summarize(e.value, true_mean, mean_mse) for e in estimators)
+    return SimResult(rows=tuple(rows_out), n=n, samples=total, true_mean=true_mean, mode=mode)
+
+
 def _run_batches(
     pop: FinitePopulation,
     n: int,
@@ -381,9 +436,9 @@ def _run_batches(
     true_mean: float,
     batches: Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]],
     total: int,
-    mode: str,
 ) -> SimResult:
-    """Evaluate the sample-mean benchmark plus the requested estimators.
+    """Evaluate the sample-mean benchmark plus the requested estimators on
+    Monte Carlo chunks.
 
     ``batches`` yields (start_index, a, sum_yc, sum_ycphi) in sample order:
     per sample, the attribute count and the sums of ``y - true_mean`` and
@@ -392,27 +447,17 @@ def _run_batches(
     Each chunk is reduced to two centred numerators per sample: ``u``, the
     sample mean minus ``true_mean``, and ``x = u + (P - a/n)*b_phi``, with
     b_phi the difference of group means (taken as 0 where a is 0 or n).
-    At a fixed a, a row's deviation from ``true_mean`` is
-    ``(K - 1)*true_mean + K*v``, with K the row's factor at a and v its
-    numerator (``u`` for NG, ``x`` for slope rows).  So every row's sum and
-    sum of squares of deviations over the chunk follow from the count, the
-    mean and the sum of squared deviations of u and x at each a = 0..n:
-    per-sample work does not grow with the number of rows, and every term
-    of the sum of squares is nonnegative.  The sample-mean row sums u and
-    u*u directly.
+    NG's numerator is u and every slope row's is x, so every row's sums
+    follow from the count, the mean and the sum of squared deviations of u
+    and x at each a = 0..n (:func:`_row_sums`): per-sample work does not
+    grow with the number of rows.  The sample-mean row sums u and u*u
+    directly.
     """
     params = compute_params(pop) if estimators else None
     if params is not None:
         labels, uses_slope, defined, factor = _row_plan(params, n, estimators, policy)
         evaluable = defined.all(axis=0)
-        counts = np.arange(n + 1)
-        interior = (counts > 0) & (counts < n)
-        # x = u + w1[a]*sum_ycphi - w0[a]*(sum_yc - sum_ycphi), which is
-        # u + (P - a/n)*(ybar1 - ybar0) with y centred at true_mean.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            shift = params.P - counts / n
-            w1 = np.where(interior, shift / counts, 0.0)
-            w0 = np.where(interior, shift / (n - counts), 0.0)
+        w1, w0 = _slope_weights(params.P, n)
         row_numerator = uses_slope.astype(np.intp)  # 0: u, 1: x
     else:
         labels = []
@@ -437,43 +482,55 @@ def _run_batches(
         if uses_slope.any():
             x = u + w1[a_int] * sum_ycphi - w0[a_int] * (sum_yc - sum_ycphi)
             mean[1], m2[1] = groups.moments(x)
-        kept = groups.count * defined  # (rows, n + 1)
-        g = (factor - 1.0) * true_mean + factor * mean[row_numerator]
-        sum_d = (kept * g).sum(axis=1)
-        sum_d2 = (factor * factor * m2[row_numerator] + kept * g * g).sum(axis=1)
-        for label, s, s2, c in zip(labels, sum_d, sum_d2, kept.sum(axis=1)):
+        sums = _row_sums(factor, defined, true_mean, groups.count, mean[row_numerator], m2[row_numerator])
+        for label, s, s2, c in zip(labels, *sums):
             acc[label].add(float(s), float(s2), int(c), int(a.size - c))
 
-    mean_row = acc["mean"].summarize("mean", true_mean, None)
-    mean_mse = mean_row.empirical_mse if mean_row.effective_replicates else None
-    if mean_mse is not None and mean_mse > 0.0:
-        mean_row = replace(mean_row, empirical_pre=100.0)
-    rows_out = [mean_row]
-    rows_out.extend(acc[e.value].summarize(e.value, true_mean, mean_mse) for e in estimators)
-    return SimResult(rows=tuple(rows_out), n=n, samples=total, true_mean=true_mean, mode=mode)
+    return _summarize(acc, estimators, n, total, true_mean, "monte_carlo")
 
 
-def _combination_batches(
-    cols: np.ndarray, n: int, batch_rows: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Column sums of every n-subset of the units, in lexicographic order.
+def _subset_sums(values: np.ndarray, lo: int, hi: int) -> list[np.ndarray]:
+    """The sums of every k-subset of ``values``, for k = lo..hi, each level
+    in the lexicographic order of :func:`itertools.combinations`.
 
-    Level k holds the sums of every k-subset of the last N - n + k units.
-    Its subsets starting at unit j are unit j joined to the (k-1)-subsets of
-    the units after j, which are the last C(N-1-j, k-1) rows of level k - 1.
+    Level k's subsets starting at unit j are unit j joined to the
+    (k-1)-subsets of the units after j, which are the last C(G-1-j, k-1)
+    entries of level k - 1.  Below ``lo`` a level is needed only for the
+    units that level ``lo`` reaches: level k < lo holds the k-subsets of the
+    last G - lo + k units, so no level built is larger than level lo or hi.
     """
-    N = cols.shape[1]
-    level = np.zeros((3, 1))
-    for k in range(1, n + 1):
-        out = np.empty((3, math.comb(N - n + k, k)))
+    G = values.size
+    level = np.zeros(1)
+    out = [level] if lo == 0 else []
+    for k in range(1, hi + 1):
+        units = G - max(0, lo - k)  # level k covers the last `units` units
+        sums = np.empty(math.comb(units, k))
         pos = 0
-        for j in range(n - k, N - k + 1):
-            tail = math.comb(N - 1 - j, k - 1)
-            np.add(level[:, -tail:], cols[:, j : j + 1], out=out[:, pos : pos + tail])
+        for j in range(G - units, G - k + 1):
+            tail = math.comb(G - 1 - j, k - 1)
+            np.add(level[-tail:], values[j], out=sums[pos : pos + tail])
             pos += tail
-        level = out
-    for start in range(0, level.shape[1], batch_rows):
-        yield start, *level[:, start : start + batch_rows]
+        level = sums
+        if k >= lo:
+            out.append(level)
+    return out
+
+
+def _subset_rank(N: int, units: list[int]) -> int:
+    """Position of the n-subset ``units`` (sorted) among all n-subsets of
+    N units in :func:`itertools.combinations` order.
+
+    A subset comes before it when it shares its first i units and then
+    takes a unit v with prev < v < c, where c is its unit i and prev the
+    one before.  There are C(N-1-v, n-1-i) such subsets for each v, and
+    C(N-1-prev, n-i) - C(N-c, n-i) over all of them.
+    """
+    n = len(units)
+    rank, prev = 0, -1
+    for i, c in enumerate(units):
+        rank += math.comb(N - 1 - prev, n - i) - math.comb(N - c, n - i)
+        prev = c
+    return rank
 
 
 def enumerate_all_samples(
@@ -486,9 +543,19 @@ def enumerate_all_samples(
 
     The reported means, biases and MSEs are exact design expectations over
     the evaluated samples.  Refuses to run when C(N, n) exceeds
-    ``ENUMERATION_GUARD``.  The per-subset sums are held in memory: 24
-    bytes per subset, plus 24 bytes per (n-1)-subset of the last N - 1
-    units while they are built, which is n/N as many again.
+    ``ENUMERATION_GUARD``.
+
+    No subset is listed.  The n-subsets holding a attribute units are the
+    pairs of an a-subset of the N1 holders and an (n-a)-subset of the N0
+    non-holders, and both numerators are ``alpha*S1 + beta*S0`` in the two
+    group sums.  So at each a a numerator's mean is
+    ``alpha*mean1 + beta*mean0`` and its sum of squared deviations
+    ``C0*alpha**2*M2_1 + C1*beta**2*M2_0``, with C1 = C(N1, a) and
+    C0 = C(N0, n-a): the cross term of a sum over a product set is zero.
+    Memory and work go with the largest group level, C(N1, a) or
+    C(N0, n-a) sums, not with C(N, n).  Under the ``error`` policy the
+    reported index is that of the first undefined subset in
+    :func:`itertools.combinations` order.
     """
     _check_policy(degenerate_policy)
     if not 2 <= n < pop.N:
@@ -499,18 +566,49 @@ def enumerate_all_samples(
             f"C({pop.N},{n}) = {total} subsets exceeds the guard of {ENUMERATION_GUARD}"
         )
     chosen = _normalize_estimators(estimators)
-    batch_rows = max(1, _BATCH_ELEMENTS // n)
-    true_mean, cols = _unit_columns(pop)
-    return _run_batches(
-        pop,
-        n,
-        chosen,
-        degenerate_policy,
-        true_mean,
-        _combination_batches(cols, n, batch_rows),
-        total,
-        "enumerate",
-    )
+    holds = pop.phi == 1
+    N1 = int(holds.sum())
+    lo, hi = max(0, n - (pop.N - N1)), min(n, N1)  # the counts a that some subset holds
+    w1 = w0 = np.zeros(n + 1)
+    if chosen:
+        params = compute_params(pop)
+        labels, uses_slope, defined, factor = _row_plan(params, n, chosen, degenerate_policy)
+        bad = [a for a in range(lo, hi + 1) if not defined[:, a].all()]
+        if degenerate_policy == "error" and bad:
+            # The first subset holding a holders takes the first a of them
+            # and the first n - a non-holders.
+            holders, others = np.flatnonzero(holds).tolist(), np.flatnonzero(~holds).tolist()
+            rank, a = min((_subset_rank(pop.N, sorted(holders[:a] + others[: n - a])), a) for a in bad)
+            raise DegenerateSampleError(_undefined_reason(labels, defined, n, a), replicate=rank)
+        w1, w0 = _slope_weights(params.P, n)
+
+    true_mean = float(pop.y.mean())
+    yc = pop.y - true_mean  # centred for stable sums
+    c1, c0, mean1, mean0, m2_1, m2_0 = np.zeros((6, n + 1))
+    level1 = _subset_sums(yc[holds], lo, hi)
+    level0 = _subset_sums(yc[~holds], n - hi, n - lo)
+    for a in range(lo, hi + 1):
+        s1, s0 = level1[a - lo], level0[hi - a]
+        c1[a], c0[a] = s1.size, s0.size
+        mean1[a], mean0[a] = s1.mean(), s0.mean()
+        m2_1[a], m2_0[a] = np.square(s1 - mean1[a]).sum(), np.square(s0 - mean0[a]).sum()
+    count = (c1 * c0).astype(np.int64)  # exact: at most the guard
+    # The numerators u = (S1 + S0)/n and x = u + w1*S1 - w0*S0.
+    alpha = 1.0 / n + np.stack([np.zeros(n + 1), w1])
+    beta = 1.0 / n - np.stack([np.zeros(n + 1), w0])
+    mean = alpha * mean1 + beta * mean0
+    m2 = c0 * alpha * alpha * m2_1 + c1 * beta * beta * m2_0
+
+    # The sample-mean row is factor 1 on u, defined at every a.
+    tables = [(["mean"], np.ones((1, n + 1)), np.ones((1, n + 1), dtype=bool), np.zeros(1, dtype=np.intp))]
+    if chosen:
+        tables.append((labels, factor, defined, uses_slope.astype(np.intp)))
+    acc = {}
+    for names, f, ok, numerator in tables:
+        for label, s, s2, c in zip(names, *_row_sums(f, ok, true_mean, count, mean[numerator], m2[numerator])):
+            acc[label] = _Accumulator()
+            acc[label].add(float(s), float(s2), int(c), total - int(c))
+    return _summarize(acc, chosen, n, total, true_mean, "enumerate")
 
 
 def _sample_chunk(
@@ -591,7 +689,6 @@ def monte_carlo(pop: FinitePopulation, config: SimConfig) -> SimResult:
             true_mean,
             batches,
             config.replicates,
-            "monte_carlo",
         )
     finally:
         batches.close()  # stops the sampling threads if the kernel raised

@@ -417,6 +417,18 @@ class TestEnumerate:
         assert code == 4
         assert str(math.comb(30, 15)) in err
 
+    def test_error_policy_reports_first_undefined_subset(self, capsys, tmp_path):
+        # t4's denominator is zero on samples with one holder; the first of
+        # them is subset 3 in itertools.combinations order.
+        path = tmp_path / "zero_t4.csv"
+        path.write_text("y,phi\n3,1\n0,1\n2,0\n2,0\n2,0\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "enumerate", "--input", str(path), "--n", "4", "--estimators", "t4", "--policy", "error"
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: zero denominator for t4 (replicate 3)\n"
+
     def test_csv_output_to_file(self, capsys, pop4, tmp_path):
         out_path = tmp_path / "report.csv"
         code, out, _ = run(

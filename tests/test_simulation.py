@@ -127,6 +127,27 @@ def exact_rows(pop, n):
     return out, float(Ybar)
 
 
+def first_undefined_subset(pop, n, estimators):
+    """Brute-force oracle for the error policy: the message and position of
+    the first subset, in itertools.combinations order, on which some
+    requested row is undefined, or None.  Raises UndefinedConstantError for
+    a requested form with no defined constants, as the engine does."""
+    params = compute_params(pop)
+    forms = [
+        (e.value, resolve_form(FAMILY_FORMS[e if e is not EstimatorId.NG else EstimatorId.T1], params))
+        for e in EstimatorId
+        if e in estimators
+    ]
+    for index, subset in enumerate(combinations(range(pop.N), n)):
+        a = int(pop.phi[list(subset)].sum())
+        if a in (0, n):
+            return f"sample attribute is constant (p is 0 or 1) (replicate {index})", index
+        for label, (m1, m2) in forms:
+            if m1 * (a / n) + m2 == 0.0:
+                return f"zero denominator for {label} (replicate {index})", index
+    return None
+
+
 class TestDrawSrswor:
     def test_census_returns_whole_population(self):
         rng = np.random.default_rng(0)
@@ -240,7 +261,10 @@ class TestEnumerateGeneral:
         # Four holders among ten units; at n = 5 the samples holding two
         # hit the p == P collapse.  The 1e6 offset makes every ratio row's
         # deviation mostly (K(a) - 1) * Ybar.  ZERO_T4_FIRST has samples on
-        # which t4's denominator is zero.
+        # which t4's denominator is zero.  Then the edge shapes of the
+        # per-group subset sums: one holder; one non-holder; n above both
+        # group sizes, so the counts a = 0, 5, 6 and 7 have no subsets;
+        # n = N - 1; and one holder under a 1e6 offset.
         rng = np.random.default_rng(2024)
         phi = np.array([1] * 4 + [0] * 6)
         noise = rng.normal(0.0, 1.0, 10)
@@ -250,13 +274,28 @@ class TestEnumerateGeneral:
             for n in (4, 5)
         ]
         cases.append((ZERO_T4_FIRST, 3))
+
+        def population(phi, offset=20.0):
+            phi = np.array(phi)
+            return FinitePopulation(y=offset + 3.0 * phi + rng.normal(0.0, 1.0, phi.size), phi=phi)
+
+        cases += [
+            (population([1] + [0] * 8), 4),
+            (population([1] * 8 + [0]), 4),
+            (population([0, 1] * 2 + [1, 1] + [0] * 4), 7),
+            (population([1] * 4 + [0] * 5), 8),
+            (population([0] * 5 + [1] + [0] * 4, offset=1e6), 3),
+        ]
         for pop, n in cases:
             oracle, Ybar = exact_rows(pop, n)
             result = enumerate_all_samples(pop, n, list(EstimatorId))
             assert len(result.rows) == 12
+            assert type(result.samples) is int and result.samples == math.comb(pop.N, n)
             for row in result.rows:
                 expected = oracle[row.estimator]
+                assert type(row.degenerate_count) is int and type(row.effective_replicates) is int
                 assert row.degenerate_count == expected["skipped"]
+                assert row.effective_replicates + row.degenerate_count == result.samples
                 if not row.effective_replicates:
                     continue
                 assert row.empirical_mse == pytest.approx(expected["mse"], rel=1e-12, abs=0.0)
@@ -308,6 +347,45 @@ class TestEnumerateGeneral:
         with pytest.raises(DegenerateSampleError, match="zero denominator for t4") as excinfo:
             enumerate_all_samples(ZERO_T4_FIRST, 3, [EstimatorId.T4], degenerate_policy="error")
         assert excinfo.value.replicate == 0
+
+    def test_error_policy_index_matches_brute_force(self):
+        # Small integer study values make exact zero denominators likely;
+        # each population asks for a random set of rows.
+        rng = np.random.default_rng(11)
+        cases = [(ZERO_T4_FIRST, 3, list(EstimatorId)), (ZERO_T4_AT_A1, 4, list(EstimatorId))]
+        while len(cases) < 202:
+            N = int(rng.integers(4, 12))
+            holders = int(rng.integers(1, N))
+            phi = rng.permutation(np.array([1] * holders + [0] * (N - holders)))
+            y = rng.integers(0, 4, N).astype(float)
+            if np.ptp(y) == 0.0:
+                continue
+            wanted = [e for e in EstimatorId if rng.random() < 0.5] or [EstimatorId.T4]
+            cases.append((FinitePopulation(y=y, phi=phi), int(rng.integers(2, N)), wanted))
+        for pop, n, wanted in cases:
+            try:
+                expected = first_undefined_subset(pop, n, wanted)
+            except UndefinedConstantError:
+                with pytest.raises(UndefinedConstantError):
+                    enumerate_all_samples(pop, n, wanted, degenerate_policy="error")
+                continue
+            if expected is None:
+                result = enumerate_all_samples(pop, n, wanted, degenerate_policy="error")
+                assert all(row.degenerate_count == 0 for row in result.rows)
+                continue
+            with pytest.raises(DegenerateSampleError) as excinfo:
+                enumerate_all_samples(pop, n, wanted, degenerate_policy="error")
+            assert (str(excinfo.value), excinfo.value.replicate) == expected
+
+    def test_subset_sums_list_every_level_in_lexicographic_order(self):
+        # Powers of two give every subset a distinct sum.
+        values = 2.0 ** np.arange(7)
+        for lo, hi in ((0, 7), (3, 5), (6, 6)):
+            levels = simulation._subset_sums(values, lo, hi)
+            assert len(levels) == hi - lo + 1
+            for k, level in zip(range(lo, hi + 1), levels):
+                assert level.size == math.comb(7, k)
+                assert level.tolist() == [sum(values[list(c)]) for c in combinations(range(7), k)]
 
     def test_undefined_form_row_skips_every_sample(self):
         result = enumerate_all_samples(UNCORRELATED, 3)
