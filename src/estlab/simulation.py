@@ -54,12 +54,15 @@ of (seed, replicate index): which samples are drawn does not depend on
 batch layout, thread count, or evaluation order.  Chunks of
 ``4_000_000 // (4 * N)`` replicates are drawn on up to four threads (the
 CPUs this process may use, at most 4), at most one chunk per thread ahead
-of the estimators.  The estimators run on the calling thread over the
-chunks in replicate-index order, and the chunk size depends only on N, so
-the output is bit-identical whatever the thread count.  Within a chunk,
-the ratio rows' sums by ``a`` are taken over blocks of 128 samples, and
-the block subtotals pairwise; chunk subtotals are added with exact
-summation.
+of the estimators.  A chunk holds 24 bytes per replicate, its three
+column sums; a thread draws it in passes of about 32K deviates, so each
+thread holds one pass of deviates and indices at a time.  The estimators
+run on the calling thread over the chunks in replicate-index order, and
+the chunk size depends only on N, so the output is bit-identical whatever
+the thread count.  The chunk, not the pass, fixes the output.  Within a
+chunk, the ratio rows' sums by ``a`` are taken over blocks of 128
+samples, and the block subtotals pairwise; chunk subtotals are added with
+exact summation.
 Synthetic-population
 noise uses the same keyed generator from a disjoint counter block, so a
 shared seed never reuses a stream.
@@ -109,9 +112,14 @@ _SYNTH_COUNTER_BLOCK = 1 << 128
 
 _MAX_SEED = 2**64 - 1
 
-#: Target element count of the uniform deviates a Monte Carlo chunk holds
-#: at once (about 32 MB); a chunk is ``_BATCH_ELEMENTS // (4 * N)`` rows.
+#: A Monte Carlo chunk is ``_BATCH_ELEMENTS // (4 * N)`` replicates: the
+#: unit of threading and of the kernel's rounding, so it fixes the output.
+#: It holds 24 bytes per replicate, its three column sums.
 _BATCH_ELEMENTS = 4_000_000
+
+#: Deviates a chunk draws per pass: 256 KB of raw bits plus as much again
+#: of indices, so one pass per thread fits in L2.
+_PASS_DEVIATES = 1 << 15
 
 
 def _worker_count() -> int:
@@ -614,15 +622,27 @@ def enumerate_all_samples(
 def _sample_chunk(
     cols: np.ndarray, n: int, seed: int, start: int, count: int
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Draw replicates start .. start + count - 1 and return their column sums."""
+    """Draw replicates start .. start + count - 1 and return their column sums.
+
+    The chunk is drawn in passes of about ``_PASS_DEVIATES`` deviates, so
+    the (rows, N) deviates and indices of one pass stay in cache; only the
+    (3, count) sums scale with the chunk.  A deviate is kept as the 53 raw
+    bits that ``Generator.random`` would scale to a double, so the order,
+    the ties and the selected units are those of the uniform deviates.
+    """
     N = cols.shape[1]
-    blocks_per_rep = -(-N // 4)  # Philox advances in blocks of four 64-bit draws
+    stride = 4 * -(-N // 4)  # Philox advances in blocks of four 64-bit draws
     bits = np.random.Philox(key=seed)
-    bits.advance(start * blocks_per_rep)
-    u = np.random.Generator(bits).random((count, 4 * blocks_per_rep))[:, :N]
-    idx = np.argpartition(u, n - 1, axis=1)[:, :n]
-    phi, yc, ycphi = cols
-    return start, phi[idx].sum(axis=1), yc[idx].sum(axis=1), ycphi[idx].sum(axis=1)
+    bits.advance(start * (stride // 4))
+    pass_rows = max(1, _PASS_DEVIATES // stride)
+    sums = np.empty((3, count))
+    for lo in range(0, count, pass_rows):
+        rows = min(pass_rows, count - lo)
+        u = bits.random_raw(rows * stride).reshape(rows, stride)
+        u >>= 11
+        idx = np.ascontiguousarray(np.argpartition(u[:, :N], n - 1, axis=1)[:, :n])
+        np.take(cols, idx, axis=1).sum(axis=2, out=sums[:, lo : lo + rows])
+    return (start, *sums)
 
 
 def _replicate_batches(
@@ -669,10 +689,12 @@ def monte_carlo(pop: FinitePopulation, config: SimConfig) -> SimResult:
     Replicates are drawn in chunks of ``4_000_000 // (4 * N)`` rows on up
     to four threads (the CPUs this process may use, at most 4), and the
     estimators run on the calling thread, chunk by chunk in replicate
-    order.  The chunk depends only on N.  At most one chunk per thread is
-    drawn ahead of the estimators, so at most 4M uniform deviates (32 MB)
-    are in flight.  A run that fits in one chunk starts no thread, and no
-    thread outlives the call, also when it raises.
+    order.  The chunk depends only on N, and it, not the pass a thread
+    draws it in, fixes the output.  At most one chunk per thread is drawn
+    ahead of the estimators; a chunk holds 24 bytes per replicate, and
+    each thread holds one pass of about 32K deviates while it draws.  A
+    run that fits in one chunk starts no thread, and no thread outlives
+    the call, also when it raises.
     """
     if not 2 <= config.n < pop.N:
         raise InvalidSampleSizeError(

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -642,6 +643,76 @@ class TestThreadedSampling:
         assert not caller.is_alive(), "monte_carlo hung after a worker failed"
         assert outcome == ["chunk 2 failed"]
         assert threading.active_count() == before
+
+
+class TestChunkSampling:
+    """``_sample_chunk`` draws a chunk in passes of about
+    ``simulation._PASS_DEVIATES`` deviates; neither the pass nor the chunk
+    may change which units a replicate selects or what its sums are."""
+
+    @staticmethod
+    def exact_columns(N):
+        # Integer-valued columns: every sum is exact in any order, so ``==``
+        # checks the selected units and not the summation order.
+        units = np.arange(N, dtype=float)
+        return np.stack([units % 2, units, units * units])
+
+    @staticmethod
+    def replicate_sums(cols, n, seed, i):
+        """The sums of replicate i drawn alone: the n smallest of its N deviates."""
+        N = cols.shape[1]
+        bits = np.random.Philox(key=seed)
+        bits.advance(i * -(-N // 4))
+        idx = np.argsort(np.random.Generator(bits).random(N))[:n]
+        return cols[:, idx].sum(axis=1)
+
+    @pytest.mark.parametrize("N, n", [(5, 2), (13, 4), (2001, 100)])
+    def test_chunk_sums_match_single_draws(self, N, n):
+        cols, seed = self.exact_columns(N), 7
+        stride = 4 * -(-N // 4)  # N = 5, 13 and 2001 are padded
+        rows = DEFAULT_BATCH_ELEMENTS // (4 * N)  # the chunk
+        pass_rows = max(1, simulation._PASS_DEVIATES // stride)
+        # Chunk 0, then chunk 1 through its first pass boundary.
+        chunks = [(0, rows), (rows, pass_rows + 1)]
+        checked = {pass_rows - 1, pass_rows, rows - 1, rows, rows + pass_rows - 1, rows + pass_rows}
+        for start, count in chunks:
+            got_start, *sums = simulation._sample_chunk(cols, n, seed, start, count)
+            assert got_start == start
+            assert all(s.shape == (count,) for s in sums)
+            for i in sorted(j for j in checked if start <= j < start + count):
+                expected = self.replicate_sums(cols, n, seed, i)
+                assert [s[i - start] for s in sums] == expected.tolist(), f"replicate {i}"
+
+    # One deviate (one row a pass), N + 1 for the 12-unit NARROW, and one
+    # pass a chunk.
+    @pytest.mark.parametrize("deviates", [1, 13, 1 << 40])
+    def test_pass_size_is_immaterial(self, monkeypatch, deviates):
+        # ~6% of the NARROW samples have a constant attribute and are skipped.
+        narrow, split = TestThreadedSampling.NARROW, TestThreadedSampling.SPLIT
+        config = SimConfig(n=4, replicates=5000, seed=11)
+        expected = monte_carlo(narrow, config)
+        with pytest.raises(DegenerateSampleError) as first:
+            monte_carlo(split, TestThreadedSampling.SPLIT_ERROR)
+        monkeypatch.setattr(simulation, "_PASS_DEVIATES", deviates)
+        assert monte_carlo(narrow, config) == expected
+        assert 0 < expected.row("t2").degenerate_count < expected.samples
+        with pytest.raises(DegenerateSampleError) as again:
+            monte_carlo(split, TestThreadedSampling.SPLIT_ERROR)
+        assert again.value.replicate == first.value.replicate == 429
+
+    @pytest.mark.parametrize("N, n, count", [(2000, 100, 500), (12, 4, 83_333)])
+    def test_one_chunk_holds_one_pass(self, N, n, count):
+        # Only the (3, count) sums scale with the chunk; the deviates and
+        # indices are one pass, well under a MB.
+        cols = self.exact_columns(N)
+        simulation._sample_chunk(cols, n, 3, 0, 2)  # warm numpy's caches
+        tracemalloc.start()
+        try:
+            simulation._sample_chunk(cols, n, 3, 0, count)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * count + 2**20
 
 
 class TestSynthesize:
