@@ -216,17 +216,18 @@ def estimate_general(
 ) -> float:
     """Evaluate the family estimator for an arbitrary (m1, m2) form.
 
-    Exact collapse: when p equals P both correction factors are 1 and the
-    estimate is ybar, returned without touching b_phi or the denominator.
+    The form and its denominator are checked first, as the batch kernel
+    checks them.  Then the exact collapse: when p equals P both correction
+    factors are 1 and the estimate is ybar, returned without touching b_phi.
     """
+    m1, m2 = resolve_form(form, params)
+    if m1 * stats.p + m2 == 0.0:
+        raise UndefinedEstimateError(f"zero denominator: m1*p + m2 = 0 at p = {stats.p}")
     if stats.p == P:
         return float(stats.ybar)
     b_phi = stats.b_phi
     if b_phi is None:
         raise DegenerateSampleError("b_phi undefined on this sample (constant attribute)")
-    m1, m2 = resolve_form(form, params)
-    if m1 * stats.p + m2 == 0.0:
-        raise UndefinedEstimateError(f"zero denominator: m1*p + m2 = 0 at p = {stats.p}")
     return float(family_estimate(stats.ybar, stats.p, P, b_phi, m1, m2))
 
 

@@ -27,7 +27,9 @@ Monte Carlo gathers the sums of each drawn sample from its unit indices
 and takes the tables over chunks of samples.  Enumeration does no work per
 n-subset: the subsets holding ``a`` holders are the pairs of an a-subset of
 the holders and an (n-a)-subset of the non-holders, so its tables follow
-exactly from the sums of every k-subset of each group alone.
+exactly from each group's closed-form moments: over its k-subsets, the
+count C(G, k) and the mean and spread of their sums.  Both modes turn the
+per-row sums into rows through one summary function.
 
 Degenerate samples and the skip policy
 --------------------------------------
@@ -73,7 +75,7 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Generator, Iterable, Iterator, Literal, Sequence
 
 import numpy as np
@@ -269,40 +271,6 @@ def _normalize_estimators(estimators: Iterable[EstimatorId] | None) -> tuple[Est
     return tuple(e for e in EstimatorId if e in chosen)
 
 
-class _Accumulator:
-    """Streaming sums for one estimator row, one subtotal per chunk."""
-
-    __slots__ = ("sum_d", "sum_d2", "count", "degenerate")
-
-    def __init__(self) -> None:
-        self.sum_d: list[float] = []
-        self.sum_d2: list[float] = []
-        self.count = 0
-        self.degenerate = 0
-
-    def add(self, sum_d: float, sum_d2: float, count: int, skipped: int) -> None:
-        self.sum_d.append(sum_d)
-        self.sum_d2.append(sum_d2)
-        self.count += count
-        self.degenerate += skipped
-
-    def summarize(self, label: str, true_mean: float, mean_mse: float | None) -> EstimatorSummary:
-        if self.count == 0:
-            return EstimatorSummary(label, math.nan, math.nan, math.nan, None, self.degenerate, 0)
-        bias = math.fsum(self.sum_d) / self.count
-        mse = math.fsum(self.sum_d2) / self.count
-        pre = 100.0 * mean_mse / mse if mean_mse is not None and mse > 0.0 else None
-        return EstimatorSummary(
-            estimator=label,
-            empirical_mean=true_mean + bias,
-            empirical_bias=bias,
-            empirical_mse=mse,
-            empirical_pre=pre,
-            degenerate_count=self.degenerate,
-            effective_replicates=self.count,
-        )
-
-
 def _unit_columns(pop: FinitePopulation) -> tuple[float, np.ndarray]:
     """The population mean and the (3, N) unit columns ``phi``, ``y - Ybar``
     and ``(y - Ybar)*phi``, whose per-sample sums feed the kernel."""
@@ -419,21 +387,32 @@ def _row_sums(
 
 
 def _summarize(
-    acc: dict[str, _Accumulator],
-    estimators: tuple[EstimatorId, ...],
+    labels: list[str],
+    chunks: list[Sequence[np.ndarray]],
     n: int,
     total: int,
     true_mean: float,
     mode: str,
 ) -> SimResult:
-    """The sample-mean row, then each requested row, with PREs against the mean."""
-    mean_row = acc["mean"].summarize("mean", true_mean, None)
-    mean_mse = mean_row.empirical_mse if mean_row.effective_replicates else None
-    if mean_mse is not None and mean_mse > 0.0:
-        mean_row = replace(mean_row, empirical_pre=100.0)
-    rows_out = [mean_row]
-    rows_out.extend(acc[e.value].summarize(e.value, true_mean, mean_mse) for e in estimators)
-    return SimResult(rows=tuple(rows_out), n=n, samples=total, true_mean=true_mean, mode=mode)
+    """One row per label, the sample mean first, with PREs against it.
+
+    Each chunk gives, per row, the sum and the sum of squares of the
+    deviations from ``true_mean`` and the number of samples kept; the chunk
+    subtotals are added with exact summation.
+    """
+    sum_d, sum_d2, kept = (np.array(x) for x in zip(*chunks))  # each (chunks, rows)
+    rows: list[EstimatorSummary] = []
+    for label, s, s2, c in zip(labels, sum_d.T, sum_d2.T, kept.T):
+        count = int(c.sum())
+        bias = math.fsum(s) / count if count else math.nan
+        mse = math.fsum(s2) / count if count else math.nan
+        if not rows:
+            mean_mse = mse
+            pre = 100.0 if mse > 0.0 else None
+        else:
+            pre = 100.0 * mean_mse / mse if mse > 0.0 else None
+        rows.append(EstimatorSummary(label, true_mean + bias, bias, mse, pre, total - count, count))
+    return SimResult(rows=tuple(rows), n=n, samples=total, true_mean=true_mean, mode=mode)
 
 
 def _run_batches(
@@ -469,11 +448,11 @@ def _run_batches(
         row_numerator = uses_slope.astype(np.intp)  # 0: u, 1: x
     else:
         labels = []
-    acc = {"mean": _Accumulator(), **{label: _Accumulator() for label in labels}}
+    chunks = []
 
     for start, a, sum_yc, sum_ycphi in batches:
         u = sum_yc / n
-        acc["mean"].add(float(u.sum()), float((u * u).sum()), int(u.size), 0)
+        chunks.append(([u.sum()], [(u * u).sum()], [u.size]))
         if not labels:
             continue
         a_int = a.astype(np.intp)
@@ -491,37 +470,27 @@ def _run_batches(
             x = u + w1[a_int] * sum_ycphi - w0[a_int] * (sum_yc - sum_ycphi)
             mean[1], m2[1] = groups.moments(x)
         sums = _row_sums(factor, defined, true_mean, groups.count, mean[row_numerator], m2[row_numerator])
-        for label, s, s2, c in zip(labels, *sums):
-            acc[label].add(float(s), float(s2), int(c), int(a.size - c))
+        chunks[-1] = [np.append(m, s) for m, s in zip(chunks[-1], sums)]
 
-    return _summarize(acc, estimators, n, total, true_mean, "monte_carlo")
+    return _summarize(["mean", *labels], chunks, n, total, true_mean, "monte_carlo")
 
 
-def _subset_sums(values: np.ndarray, lo: int, hi: int) -> list[np.ndarray]:
-    """The sums of every k-subset of ``values``, for k = lo..hi, each level
-    in the lexicographic order of :func:`itertools.combinations`.
+def _subset_sum_moments(values: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each size in ``k``, the number C(G, k) of k-subsets of the G
+    ``values``, the mean of their sums and the sum of squared deviations of
+    the sums from it.
 
-    Level k's subsets starting at unit j are unit j joined to the
-    (k-1)-subsets of the units after j, which are the last C(G-1-j, k-1)
-    entries of level k - 1.  Below ``lo`` a level is needed only for the
-    units that level ``lo`` reaches: level k < lo holds the k-subsets of the
-    last G - lo + k units, so no level built is larger than level lo or hi.
+    A k-subset's sum is k times the mean of an SRSWOR sample of k of the
+    values, so over all the subsets it has mean ``k*mu`` and variance
+    ``k*(G-k)/(G*(G-1)) * sum((v - mu)**2)`` (Cochran, *Sampling
+    Techniques*, 1977, ch. 2).  The count is 0 for k > G, and the spread 0
+    when G is 1.
     """
     G = values.size
-    level = np.zeros(1)
-    out = [level] if lo == 0 else []
-    for k in range(1, hi + 1):
-        units = G - max(0, lo - k)  # level k covers the last `units` units
-        sums = np.empty(math.comb(units, k))
-        pos = 0
-        for j in range(G - units, G - k + 1):
-            tail = math.comb(G - 1 - j, k - 1)
-            np.add(level[-tail:], values[j], out=sums[pos : pos + tail])
-            pos += tail
-        level = sums
-        if k >= lo:
-            out.append(level)
-    return out
+    mu = values.mean() if G else 0.0
+    count = np.array([math.comb(G, j) for j in k.tolist()], dtype=np.int64)
+    spread = np.square(values - mu).sum() / (G * (G - 1)) if G > 1 else 0.0
+    return count, k * mu, count * (k * (G - k) * spread)
 
 
 def _subset_rank(N: int, units: list[int]) -> int:
@@ -560,10 +529,11 @@ def enumerate_all_samples(
     ``alpha*mean1 + beta*mean0`` and its sum of squared deviations
     ``C0*alpha**2*M2_1 + C1*beta**2*M2_0``, with C1 = C(N1, a) and
     C0 = C(N0, n-a): the cross term of a sum over a product set is zero.
-    Memory and work go with the largest group level, C(N1, a) or
-    C(N0, n-a) sums, not with C(N, n).  Under the ``error`` policy the
-    reported index is that of the first undefined subset in
-    :func:`itertools.combinations` order.
+    Each group's count, mean and M2 over its k-subsets have closed forms
+    (:func:`_subset_sum_moments`), so the work goes with n, not with any
+    number of subsets.  Under the ``error`` policy the reported index is
+    that of the first undefined subset in :func:`itertools.combinations`
+    order.
     """
     _check_policy(degenerate_policy)
     if not 2 <= n < pop.N:
@@ -574,49 +544,46 @@ def enumerate_all_samples(
             f"C({pop.N},{n}) = {total} subsets exceeds the guard of {ENUMERATION_GUARD}"
         )
     chosen = _normalize_estimators(estimators)
+    true_mean = float(pop.y.mean())
+    yc = pop.y - true_mean  # centred for stable sums
     holds = pop.phi == 1
     N1 = int(holds.sum())
-    lo, hi = max(0, n - (pop.N - N1)), min(n, N1)  # the counts a that some subset holds
+    N0 = pop.N - N1
+    counts = np.arange(n + 1)
+    # A count a that no n-subset holds asks each group for one unit more
+    # than it has, where C(G, k) is 0, so no group count exceeds C(N, n).
+    held = (counts <= N1) & (n - counts <= N0)
+    c1, mean1, m2_1 = _subset_sum_moments(yc[holds], np.where(held, counts, N1 + 1))
+    c0, mean0, m2_0 = _subset_sum_moments(yc[~holds], np.where(held, n - counts, N0 + 1))
+    count = c1 * c0  # exact: at most the guard
+
+    # The sample-mean row is factor 1 on u, defined at every a.
+    labels, uses_slope = ["mean"], np.zeros(1, dtype=bool)
+    defined, factor = np.ones((1, n + 1), dtype=bool), np.ones((1, n + 1))
     w1 = w0 = np.zeros(n + 1)
     if chosen:
         params = compute_params(pop)
-        labels, uses_slope, defined, factor = _row_plan(params, n, chosen, degenerate_policy)
-        bad = [a for a in range(lo, hi + 1) if not defined[:, a].all()]
+        row_labels, row_slope, row_defined, row_factor = _row_plan(params, n, chosen, degenerate_policy)
+        bad = [a for a in range(n + 1) if count[a] and not row_defined[:, a].all()]
         if degenerate_policy == "error" and bad:
             # The first subset holding a holders takes the first a of them
             # and the first n - a non-holders.
             holders, others = np.flatnonzero(holds).tolist(), np.flatnonzero(~holds).tolist()
             rank, a = min((_subset_rank(pop.N, sorted(holders[:a] + others[: n - a])), a) for a in bad)
-            raise DegenerateSampleError(_undefined_reason(labels, defined, n, a), replicate=rank)
+            raise DegenerateSampleError(_undefined_reason(row_labels, row_defined, n, a), replicate=rank)
+        labels += row_labels
+        uses_slope = np.append(uses_slope, row_slope)
+        defined, factor = np.vstack([defined, row_defined]), np.vstack([factor, row_factor])
         w1, w0 = _slope_weights(params.P, n)
 
-    true_mean = float(pop.y.mean())
-    yc = pop.y - true_mean  # centred for stable sums
-    c1, c0, mean1, mean0, m2_1, m2_0 = np.zeros((6, n + 1))
-    level1 = _subset_sums(yc[holds], lo, hi)
-    level0 = _subset_sums(yc[~holds], n - hi, n - lo)
-    for a in range(lo, hi + 1):
-        s1, s0 = level1[a - lo], level0[hi - a]
-        c1[a], c0[a] = s1.size, s0.size
-        mean1[a], mean0[a] = s1.mean(), s0.mean()
-        m2_1[a], m2_0[a] = np.square(s1 - mean1[a]).sum(), np.square(s0 - mean0[a]).sum()
-    count = (c1 * c0).astype(np.int64)  # exact: at most the guard
     # The numerators u = (S1 + S0)/n and x = u + w1*S1 - w0*S0.
     alpha = 1.0 / n + np.stack([np.zeros(n + 1), w1])
     beta = 1.0 / n - np.stack([np.zeros(n + 1), w0])
     mean = alpha * mean1 + beta * mean0
     m2 = c0 * alpha * alpha * m2_1 + c1 * beta * beta * m2_0
-
-    # The sample-mean row is factor 1 on u, defined at every a.
-    tables = [(["mean"], np.ones((1, n + 1)), np.ones((1, n + 1), dtype=bool), np.zeros(1, dtype=np.intp))]
-    if chosen:
-        tables.append((labels, factor, defined, uses_slope.astype(np.intp)))
-    acc = {}
-    for names, f, ok, numerator in tables:
-        for label, s, s2, c in zip(names, *_row_sums(f, ok, true_mean, count, mean[numerator], m2[numerator])):
-            acc[label] = _Accumulator()
-            acc[label].add(float(s), float(s2), int(c), total - int(c))
-    return _summarize(acc, chosen, n, total, true_mean, "enumerate")
+    numerator = uses_slope.astype(np.intp)  # 0: u, 1: x
+    sums = _row_sums(factor, defined, true_mean, count, mean[numerator], m2[numerator])
+    return _summarize(labels, [sums], n, total, true_mean, "enumerate")
 
 
 def _sample_chunk(

@@ -61,7 +61,6 @@ __all__ = [
     "k_yp",
     "linearization_coefficients",
     "mse_from_linearization",
-    "mse_naik_gupta",
     "mse_proposed",
     "mse_report",
     "pre_table",
@@ -160,15 +159,9 @@ def _unit_mse(params: PopulationParams, estimator: EstimatorId) -> float:
     return g * g * params.S_phi2 + params.S_e2
 
 
-def mse_naik_gupta(params: PopulationParams, n: int) -> float:
-    """First-order MSE of the plain ratio estimator ybar * P / p."""
-    return _fpc(params, n) * _unit_mse(params, EstimatorId.NG)
-
-
 def mse_proposed(params: PopulationParams, n: int, estimator: EstimatorId) -> float:
-    """First-order MSE of a family member: fpc * (R^2 S_phi2 + S_e2)."""
-    if estimator is EstimatorId.NG:
-        raise ValueError("use mse_naik_gupta for the plain ratio estimator")
+    """First-order MSE of any ratio-type row: fpc * (G^2 S_phi2 + S_e2), with
+    G = R for a family member and Ybar0/P for NG."""
     return _fpc(params, n) * _unit_mse(params, estimator)
 
 
@@ -266,7 +259,7 @@ def efficiency_vs_ng(params: PopulationParams, estimator: EstimatorId) -> Compar
 
 def mse_report(params: PopulationParams, n: int, estimator: EstimatorId) -> MseReport:
     """MSE and PRE of one estimator at sample size n; a zero MSE has no PRE."""
-    mse = _fpc(params, n) * _unit_mse(params, estimator)
+    mse = mse_proposed(params, n, estimator)
     try:
         pre = pre_vs_mean(params, estimator)
     except UndefinedPreError:

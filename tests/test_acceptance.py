@@ -32,7 +32,6 @@ from estlab import (
     linearization_coefficients,
     monte_carlo,
     mse_from_linearization,
-    mse_naik_gupta,
     mse_proposed,
     params_from_moments,
     pre_table,
@@ -229,7 +228,7 @@ def test_first_order_theory_vs_simulation():
     sampled = monte_carlo(pop, SimConfig(n=n, replicates=100_000, seed=307,
                                          estimators=(EstimatorId.NG, EstimatorId.T2, EstimatorId.T10)))
     targets = {
-        "ng": mse_naik_gupta(params, n),
+        "ng": mse_proposed(params, n, EstimatorId.NG),
         "t2": mse_proposed(params, n, EstimatorId.T2),
         "t10": mse_proposed(params, n, EstimatorId.T10),
     }

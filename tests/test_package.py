@@ -1,8 +1,11 @@
-"""The package namespace: how ``estlab.__all__`` is assembled."""
+"""The package namespace: how ``estlab.__all__`` is assembled, and the
+documented quickstart that uses it."""
 
 import ast
 import inspect
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -40,3 +43,11 @@ def test_package_names_resolve_to_their_defining_module():
         for name in module.__all__:
             assert getattr(estlab, name) is getattr(module, name), name
     assert sorted(estlab.__all__) == sorted(n for m in MODULES for n in m.__all__)
+
+
+def test_readme_quickstart_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL)
+    assert block, "README's Library quickstart has no python block"
+    exec(compile(block.group(1), "README.md#library-quickstart", "exec"), {})

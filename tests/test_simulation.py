@@ -234,9 +234,9 @@ class TestEnumerateFourUnits:
 class TestEnumerateGeneral:
     def test_matches_scalar_brute_force(self):
         # The second population has P = 0.4, so its 5-subsets holding two
-        # attribute units hit the p == P collapse.  The last two are the edge
-        # shapes of the subset-sum recursion: n = N - 1 builds every level
-        # from two pieces, and n = 2 at N = 40 builds the top level from 39.
+        # attribute units hit the p == P collapse.  Then two edge shapes of
+        # the per-group tables: n = N - 1, where each count a pairs one
+        # holder subset size with one non-holder size, and n = 2 at N = 40.
         # The last one has zero-denominator samples for t4 (2 of 5 subsets).
         rng = np.random.default_rng(77)
         cases = [
@@ -263,7 +263,7 @@ class TestEnumerateGeneral:
         # hit the p == P collapse.  The 1e6 offset makes every ratio row's
         # deviation mostly (K(a) - 1) * Ybar.  ZERO_T4_FIRST has samples on
         # which t4's denominator is zero.  Then the edge shapes of the
-        # per-group subset sums: one holder; one non-holder; n above both
+        # per-group moment tables: one holder; one non-holder; n above both
         # group sizes, so the counts a = 0, 5, 6 and 7 have no subsets;
         # n = N - 1; and one holder under a 1e6 offset.
         rng = np.random.default_rng(2024)
@@ -378,15 +378,20 @@ class TestEnumerateGeneral:
                 enumerate_all_samples(pop, n, wanted, degenerate_policy="error")
             assert (str(excinfo.value), excinfo.value.replicate) == expected
 
-    def test_subset_sums_list_every_level_in_lexicographic_order(self):
-        # Powers of two give every subset a distinct sum.
-        values = 2.0 ** np.arange(7)
-        for lo, hi in ((0, 7), (3, 5), (6, 6)):
-            levels = simulation._subset_sums(values, lo, hi)
-            assert len(levels) == hi - lo + 1
-            for k, level in zip(range(lo, hi + 1), levels):
-                assert level.size == math.comb(7, k)
-                assert level.tolist() == [sum(values[list(c)]) for c in combinations(range(7), k)]
+    def test_subset_sum_moments_match_every_subset(self):
+        # Powers of two give every subset a distinct sum; k = G + 1 has none.
+        for G in (1, 2, 7):
+            values = 2.0 ** np.arange(G)
+            k = np.arange(G + 2)
+            count, mean, m2 = simulation._subset_sum_moments(values, k)
+            for j in k.tolist():
+                sums = np.array([sum(values[list(c)]) for c in combinations(range(G), j)])
+                assert count[j] == sums.size == math.comb(G, j)
+                if not sums.size:
+                    assert m2[j] == 0.0
+                    continue
+                assert mean[j] == pytest.approx(sums.mean(), rel=1e-15, abs=1e-15)
+                assert m2[j] == pytest.approx(np.square(sums - sums.mean()).sum(), rel=1e-13, abs=1e-13)
 
     def test_undefined_form_row_skips_every_sample(self):
         result = enumerate_all_samples(UNCORRELATED, 3)
@@ -400,6 +405,16 @@ class TestEnumerateGeneral:
         )
         with pytest.raises(UndefinedConstantError):
             enumerate_all_samples(UNCORRELATED, 3, degenerate_policy="error")
+
+    def test_scalar_path_rejects_undefined_form_where_p_equals_P(self):
+        # P = 1/2 and the first four units hold two holders, so p == P.  The
+        # scalar t8 must be undefined there too, not collapse to ybar.
+        params = compute_params(UNCORRELATED)
+        stats = compute_sample_stats(SampleData(y=UNCORRELATED.y[:4], phi=UNCORRELATED.phi[:4]))
+        assert stats.p == params.P
+        with pytest.raises(UndefinedConstantError):
+            estimate_named(stats, params.P, EstimatorId.T8, params)
+        assert enumerate_all_samples(UNCORRELATED, 4, [EstimatorId.T8]).row("t8").effective_replicates == 0
 
     def test_error_policy_ignores_mean_only_runs(self):
         result = enumerate_all_samples(FOUR_UNITS, 2, [], degenerate_policy="error")

@@ -22,7 +22,6 @@ from estlab import (
     k_yp,
     linearization_coefficients,
     mse_from_linearization,
-    mse_naik_gupta,
     mse_proposed,
     mse_report,
     params_from_moments,
@@ -116,7 +115,7 @@ class TestMse:
         expected = fpc * (
             VILLAGES.S_y2 + r1 * r1 * VILLAGES.S_phi2 - 2 * r1 * VILLAGES.S_yphi
         )
-        assert mse_naik_gupta(VILLAGES, n) == pytest.approx(expected, rel=1e-14)
+        assert mse_proposed(VILLAGES, n, EstimatorId.NG) == pytest.approx(expected, rel=1e-14)
 
     def test_ng_without_attribute_information_reduces_to_variance(self):
         # With a zero ratio constant and zero covariance only S_y2 survives;
@@ -124,7 +123,7 @@ class TestMse:
         params = params_from_moments(3.0, 0.4, 0.0, 0.7, 0.8, N=50)
         n = 10
         r1 = params.Ybar / params.P
-        bracket = mse_naik_gupta(params, n) / ((1 - n / 50) / n)
+        bracket = mse_proposed(params, n, EstimatorId.NG) / ((1 - n / 50) / n)
         assert bracket == pytest.approx(params.S_y2 + r1**2 * params.S_phi2, rel=1e-12)
 
     def test_balanced_covariance_cancellation(self):
@@ -138,7 +137,7 @@ class TestMse:
         params = params_from_moments(ybar, p_attr, rho, cy, cp, N=n_pop)
         n = 12
         fpc = (1 - n / n_pop) / n
-        assert mse_naik_gupta(params, n) == pytest.approx(
+        assert mse_proposed(params, n, EstimatorId.NG) == pytest.approx(
             fpc * (params.S_y2 - r1**2 * params.S_phi2), rel=1e-10
         )
 
@@ -324,7 +323,7 @@ class TestEfficiencyPredicates:
         fpc = (1 - n / 89) / n
         for estimator in FAMILY:
             result = efficiency_vs_ng(VILLAGES, estimator)
-            direct = mse_naik_gupta(VILLAGES, n) - mse_proposed(VILLAGES, n, estimator)
+            direct = mse_proposed(VILLAGES, n, EstimatorId.NG) - mse_proposed(VILLAGES, n, estimator)
             assert result.margin == pytest.approx(direct / fpc, rel=1e-10)
 
     def test_ng_threshold_disagreement_is_flagged_not_propagated(self):
@@ -386,7 +385,7 @@ def test_mse_report_consistency():
         100.0 * variance_sample_mean(VILLAGES, 23) / report.mse, rel=1e-12
     )
     ng = mse_report(VILLAGES, 23, EstimatorId.NG)
-    assert ng.mse == mse_naik_gupta(VILLAGES, 23)
+    assert ng.mse == mse_proposed(VILLAGES, 23, EstimatorId.NG)
 
 
 def test_ng_mse_is_exactly_zero_on_a_proportional_population():
@@ -395,7 +394,7 @@ def test_ng_mse_is_exactly_zero_on_a_proportional_population():
     # S_y2 + R1^2 S_phi2 - 2 R1 S_yphi left a negative residue here.
     phi = np.array([1] * 3 + [0] * 7)
     params = compute_params(FinitePopulation(y=phi.astype(float), phi=phi))
-    assert mse_naik_gupta(params, 4) == 0.0
+    assert mse_proposed(params, 4, EstimatorId.NG) == 0.0
     assert mse_report(params, 4, EstimatorId.NG).pre_vs_mean is None
 
 
@@ -413,7 +412,7 @@ def test_ng_mse_matches_the_classical_expansion():
         classical = (1 - n / params.N) / n * (
             params.S_y2 + r1 * r1 * params.S_phi2 - 2 * r1 * params.S_yphi
         )
-        assert mse_naik_gupta(params, n) == pytest.approx(classical, rel=1e-12)
+        assert mse_proposed(params, n, EstimatorId.NG) == pytest.approx(classical, rel=1e-12)
 
 
 def test_family_mse_of_an_affine_population_is_the_ratio_term_alone():
@@ -433,7 +432,7 @@ def test_mse_report_keeps_a_zero_mse_without_pre():
     phi = np.array([1, 0] * 10)
     params = compute_params(FinitePopulation(y=phi.astype(float), phi=phi))
     report = mse_report(params, 5, EstimatorId.NG)
-    assert report.mse == mse_naik_gupta(params, 5) == 0.0
+    assert report.mse == mse_proposed(params, 5, EstimatorId.NG) == 0.0
     assert report.pre_vs_mean is None
 
 
