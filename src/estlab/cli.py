@@ -190,7 +190,7 @@ def _load_params_source(args: argparse.Namespace) -> tuple[PopulationParams, dic
 
 
 def _moment_warnings(params: PopulationParams, beta2_source: str) -> list[str]:
-    """Warn when a given kurtosis, or C_p at a known N, cannot come from a 0/1 attribute."""
+    """Warn when a given kurtosis, or C_p or N*P at a known N, cannot come from a 0/1 attribute."""
     warnings: list[str] = []
     if beta2_source == "given":
         beta2 = params.beta2_phi
@@ -203,6 +203,12 @@ def _moment_warnings(params: PopulationParams, beta2_source: str) -> list[str]:
                 f"(1-3PQ)/(PQ) of a 0/1 attribute with P = {params.P:g}"
             )
     if params.N is not None:
+        holders = params.N * params.P
+        if abs(holders - round(holders)) > 0.01 * holders:
+            warnings.append(
+                f"N*P = {holders:g} is more than 1% away from {round(holders)}, the nearest "
+                f"whole number of attribute holders"
+            )
         binary = math.sqrt(params.N * params.Q / ((params.N - 1) * params.P))
         if abs(params.C_p - binary) > 0.01 * binary:
             warnings.append(

@@ -14,12 +14,12 @@ of variation, or the point-biserial correlation).  Ten named members
 ``t_NG = ybar * P / p`` (Naik-Gupta) is t1's form, (m1, m2) = (1, 0), with
 the slope term dropped (b_phi = 0).
 
-The expression is written once, in :func:`family_estimate`.  The scalar
-estimators below call it on each sample, NG included.  The batch kernel in
-:mod:`estlab.simulation` calls it once per row over the attribute counts
-a = 0..n, with ybar = 1 and b_phi = 0, to get the factor that scales the
-slope-adjusted sample mean at each a.  Each caller guards its own undefined
-cases.
+On a 0/1 attribute ``b_phi`` is the difference of group means.  The scalar
+estimators below and the batch kernel in :mod:`estlab.simulation` resolve
+each named row through ``_row_form`` and evaluate it through
+:func:`family_estimate`; the kernel does so once per row over the attribute
+counts a = 0..n, with ybar = 1 and b_phi = 0, for the factor that scales the
+slope-adjusted sample mean at each a.
 """
 
 from __future__ import annotations
@@ -31,12 +31,11 @@ import numpy as np
 
 from .errors import (
     DegenerateSampleError,
-    PopulationParseError,
     SampleTooSmallError,
     UndefinedConstantError,
     UndefinedEstimateError,
 )
-from .population import PopulationParams
+from .population import PopulationParams, _checked_columns
 
 __all__ = [
     "FAMILY_FORMS",
@@ -48,7 +47,6 @@ __all__ = [
     "Symbol",
     "compute_sample_stats",
     "estimate_general",
-    "estimate_naik_gupta",
     "estimate_named",
     "resolve_form",
 ]
@@ -121,18 +119,9 @@ class SampleData:
     phi: np.ndarray
 
     def __post_init__(self) -> None:
-        y = np.asarray(self.y, dtype=np.float64)
-        phi = np.asarray(self.phi)
-        if len(y) != len(phi):
-            raise PopulationParseError(
-                f"length mismatch: {len(y)} study values vs {len(phi)} attribute values"
-            )
-        if len(y) < 2:
-            raise SampleTooSmallError(f"sample needs at least 2 units, got {len(y)}")
-        if not np.isin(np.asarray(phi, dtype=np.float64), (0.0, 1.0)).all():
-            raise PopulationParseError("sample attribute values must be 0 or 1")
+        y, phi = _checked_columns(self.y, self.phi, SampleTooSmallError, "sample")
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "phi", phi.astype(np.int64))
+        object.__setattr__(self, "phi", phi)
 
     @property
     def n(self) -> int:
@@ -143,29 +132,27 @@ class SampleData:
 class SampleStats:
     """Per-sample quantities feeding every estimator.
 
-    ``s_phi2`` and ``s_yphi`` use divisor n-1 and are centred at the sample
-    means.  ``b_phi`` is s_yphi/s_phi2, or None when the sample attribute is
-    constant (s_phi2 = 0) and the coefficient is undefined.
+    ``ybar`` is the sample mean and ``p = a/n`` the share of the sample's a
+    attribute holders.  ``b_phi`` is the sample regression slope of y on the
+    attribute, the difference of group means ``ybar1 - ybar0``, or None when
+    the sample attribute is constant (a = 0 or n) and the slope is undefined.
     """
 
     ybar: float
     p: float
-    s_phi2: float
-    s_yphi: float
     b_phi: float | None
 
 
 def compute_sample_stats(sample: SampleData) -> SampleStats:
-    """Compute divisor-(n-1) sample statistics; SampleData ensures n >= 2."""
+    """Compute the sample mean, attribute share and slope; SampleData ensures n >= 2."""
     n = sample.n
     ybar = float(sample.y.mean())
     a = int(sample.phi.sum())
-    p = a / n
-    dev_phi = sample.phi - p
-    s_phi2 = float(dev_phi @ dev_phi) / (n - 1)
-    s_yphi = float((sample.y - ybar) @ dev_phi) / (n - 1)
-    b_phi = s_yphi / s_phi2 if s_phi2 > 0.0 else None
-    return SampleStats(ybar=ybar, p=p, s_phi2=s_phi2, s_yphi=s_yphi, b_phi=b_phi)
+    b_phi = None
+    if 0 < a < n:
+        yc = sample.y - ybar  # both group means carry ybar's rounding; it cancels
+        b_phi = float(yc @ sample.phi) / a - float(yc @ (1 - sample.phi)) / (n - a)
+    return SampleStats(ybar=ybar, p=a / n, b_phi=b_phi)
 
 
 def _resolve_param(value: ParamValue, params: PopulationParams) -> float:
@@ -182,6 +169,13 @@ def resolve_form(form: EstimatorForm, params: PopulationParams) -> tuple[float, 
     if m1 == 0.0:
         raise UndefinedConstantError("m1 resolved to zero; the family requires m1 != 0")
     return m1, m2
+
+
+def _row_form(estimator: EstimatorId, params: PopulationParams) -> tuple[float, float, bool]:
+    """Resolve a named row to (m1, m2, uses_slope); NG is t1's (1, 0) without the slope."""
+    uses_slope = estimator is not EstimatorId.NG
+    m1, m2 = resolve_form(FAMILY_FORMS[estimator if uses_slope else EstimatorId.T1], params)
+    return m1, m2, uses_slope
 
 
 def family_estimate(
@@ -201,40 +195,27 @@ def family_estimate(
     return np.where(p == P, ybar, (ybar + b_phi * (P - p)) / (m1 * p + m2) * (m1 * P + m2))
 
 
-def estimate_naik_gupta(stats: SampleStats, P: float) -> float:
-    """Plain attribute ratio estimate ybar * P / p.
-
-    Undefined when the sample proportion is zero.
-    """
-    if stats.p == 0.0:
-        raise UndefinedEstimateError("zero sample proportion")
-    return float(family_estimate(stats.ybar, stats.p, P, 0.0, 1.0, 0.0))
-
-
-def estimate_general(
-    stats: SampleStats, P: float, form: EstimatorForm, params: PopulationParams
-) -> float:
-    """Evaluate the family estimator for an arbitrary (m1, m2) form.
-
-    The form and its denominator are checked first, as the batch kernel
-    checks them.  Then the exact collapse: when p equals P both correction
-    factors are 1 and the estimate is ybar, returned without touching b_phi.
-    """
-    m1, m2 = resolve_form(form, params)
+def _estimate(stats: SampleStats, P: float, m1: float, m2: float, uses_slope: bool) -> float:
+    """Check the denominator, then the slope, then evaluate; at p == P that gives ybar."""
     if m1 * stats.p + m2 == 0.0:
+        if stats.p == 0.0:
+            raise UndefinedEstimateError("zero sample proportion")
         raise UndefinedEstimateError(f"zero denominator: m1*p + m2 = 0 at p = {stats.p}")
-    if stats.p == P:
-        return float(stats.ybar)
-    b_phi = stats.b_phi
+    b_phi = stats.b_phi if uses_slope else 0.0
     if b_phi is None:
         raise DegenerateSampleError("b_phi undefined on this sample (constant attribute)")
     return float(family_estimate(stats.ybar, stats.p, P, b_phi, m1, m2))
 
 
+def estimate_general(
+    stats: SampleStats, P: float, form: EstimatorForm, params: PopulationParams
+) -> float:
+    """Evaluate the family estimator for an arbitrary (m1, m2) form."""
+    return _estimate(stats, P, *resolve_form(form, params), True)
+
+
 def estimate_named(
     stats: SampleStats, P: float, estimator: EstimatorId, params: PopulationParams
 ) -> float:
-    """Evaluate a named family member (or the plain ratio estimator for NG)."""
-    if estimator is EstimatorId.NG:
-        return estimate_naik_gupta(stats, P)
-    return estimate_general(stats, P, FAMILY_FORMS[estimator], params)
+    """Evaluate a named family member, or the plain ratio estimator for NG."""
+    return _estimate(stats, P, *_row_form(estimator, params))

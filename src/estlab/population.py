@@ -51,6 +51,33 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _checked_columns(y, phi, too_small: type[Exception], what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Check paired columns and return y as float64 and phi as int64: one length of
+    at least 2 (else ``too_small``, naming ``what``), y finite and phi 0 or 1."""
+    try:
+        y = np.asarray(y, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise PopulationParseError("study values must be numeric") from None
+    phi_raw = np.asarray(phi)
+    if y.ndim != 1 or phi_raw.ndim != 1:
+        raise PopulationParseError("y and phi must be one-dimensional vectors")
+    if len(y) != len(phi_raw):
+        raise PopulationParseError(f"length mismatch: {len(y)} study values vs {len(phi_raw)} attribute values")
+    if len(y) < 2:
+        raise too_small(f"{what} needs at least 2 units, got {len(y)}")
+    if not np.all(np.isfinite(y)):
+        raise PopulationParseError("study values must be finite")
+    try:
+        phi_f = np.asarray(phi_raw, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise PopulationParseError("attribute values must be numeric 0 or 1") from None
+    binary = np.isin(phi_f, (0.0, 1.0))
+    if not binary.all():
+        bad = int(np.flatnonzero(~binary)[0])
+        raise PopulationParseError(f"attribute must be 0 or 1, unit {bad + 1} is {phi_raw[bad]!r}")
+    return y, phi_f.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class FinitePopulation:
     """Paired study variable and binary attribute for N units.
@@ -64,28 +91,9 @@ class FinitePopulation:
     phi: np.ndarray
 
     def __post_init__(self) -> None:
-        y = np.asarray(self.y, dtype=np.float64)
-        phi_raw = np.asarray(self.phi)
-        if y.ndim != 1 or phi_raw.ndim != 1:
-            raise PopulationParseError("y and phi must be one-dimensional vectors")
-        if len(y) != len(phi_raw):
-            raise PopulationParseError(
-                f"length mismatch: {len(y)} study values vs {len(phi_raw)} attribute values"
-            )
-        if len(y) < 2:
-            raise PopulationParseError(f"population needs at least 2 units, got {len(y)}")
-        if not np.all(np.isfinite(y)):
-            raise PopulationParseError("study values must be finite")
-        try:
-            phi_f = np.asarray(phi_raw, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise PopulationParseError("attribute values must be numeric 0 or 1") from None
-        binary = np.isin(phi_f, (0.0, 1.0))
-        if not binary.all():
-            bad = int(np.flatnonzero(~binary)[0])
-            raise PopulationParseError(f"attribute must be 0 or 1, unit {bad + 1} is {phi_raw[bad]!r}")
+        y, phi = _checked_columns(self.y, self.phi, PopulationParseError, "population")
         object.__setattr__(self, "y", _readonly(y))
-        object.__setattr__(self, "phi", _readonly(phi_f.astype(np.int64)))
+        object.__setattr__(self, "phi", _readonly(phi))
 
     @property
     def N(self) -> int:

@@ -87,7 +87,7 @@ from .errors import (
     TooManySamplesError,
     UndefinedConstantError,
 )
-from .estimators import FAMILY_FORMS, EstimatorId, SampleData, family_estimate, resolve_form
+from .estimators import EstimatorId, SampleData, _row_form, family_estimate
 from .population import FinitePopulation, PopulationParams, compute_params
 
 __all__ = [
@@ -284,7 +284,8 @@ def _row_plan(
 ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
     """Resolve the requested rows once to (labels, uses_slope, defined, factor).
 
-    NG is t1's form (1, 0) without the slope term.  ``defined[r, a]`` tells
+    Each row's form comes from ``_row_form``, as the scalar estimators'
+    does; NG is t1's (1, 0) without the slope term.  ``defined[r, a]`` tells
     whether row r can be evaluated on a sample holding a = 0..n attribute
     units: the attribute is not constant and ``m1*(a/n) + m2`` is nonzero.
     ``factor[r, a]`` is the row's estimate over the slope-adjusted sample
@@ -298,13 +299,12 @@ def _row_plan(
     interior = (counts > 0) & (counts < n)
     labels, uses_slope, defined, factor = [], [], [], []
     for e in estimators:
-        slope = e is not EstimatorId.NG
         try:
-            m1, m2 = resolve_form(FAMILY_FORMS[e if slope else EstimatorId.T1], params)
-        except UndefinedConstantError:
+            m1, m2, slope = _row_form(e, params)
+        except UndefinedConstantError:  # only a family member's m1 can resolve to zero
             if policy == "error":
                 raise
-            m1 = m2 = 0.0
+            m1, m2, slope = 0.0, 0.0, True
         ok = interior & (m1 * p + m2 != 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             k = family_estimate(1.0, p, params.P, 0.0, m1, m2)

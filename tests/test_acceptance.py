@@ -27,7 +27,6 @@ from estlab import (
     efficiency_vs_ng,
     enumerate_all_samples,
     estimate_general,
-    estimate_naik_gupta,
     estimate_named,
     linearization_coefficients,
     monte_carlo,
@@ -162,7 +161,7 @@ def test_zero_slope_reduction_suite():
             continue
         zeroed = dataclasses.replace(stats, b_phi=0.0)
         family_value = estimate_general(zeroed, pop_params.P, FAMILY_FORMS[EstimatorId.T1], pop_params)
-        plain_value = estimate_naik_gupta(stats, pop_params.P)
+        plain_value = estimate_named(stats, pop_params.P, EstimatorId.NG, pop_params)
         if family_value != plain_value:
             failures.append(f"mismatch: {family_value!r} != {plain_value!r} at p={stats.p}")
         checked += 1
@@ -274,8 +273,6 @@ def test_taylor_residual_order():
             stats = SampleStats(
                 ybar=VILLAGES.Ybar + delta,
                 p=VILLAGES.P + delta,
-                s_phi2=1.0,
-                s_yphi=VILLAGES.B_phi,
                 b_phi=VILLAGES.B_phi,
             )
             exact = estimate_general(stats, VILLAGES.P, form, VILLAGES)

@@ -141,6 +141,22 @@ class TestParams:
             no_size = run_json(capsys, command, "--moments", without_n)
             assert not any("C_p" in w for w in no_size["warnings"])
 
+    def test_holder_count_checked_against_whole_number(self, capsys, pop4):
+        # N*P counts the attribute holders: P = 0.5 and N = 7 describe 3.5 of
+        # them.  The villages give N*P = 11.0004, within 1% of 11.
+        first = run_json(capsys, "params", "--input", pop4)["results"]["params"]
+        round_trip = (
+            f"Ybar={first['Ybar']!r},P={first['P']!r},rho={first['rho_pb']!r},"
+            f"Cy={first['C_y']!r},Cp={first['C_p']!r},N={first['N']}"
+        )
+        for command, extra in (("params", ()), ("pre", ("--n", "3"))):
+            half = run_json(capsys, command, "--moments", "Ybar=3,P=0.5,rho=0.5,Cy=0.5,Cp=1.08,N=7", *extra)
+            assert "N*P = 3.5 is more than 1% away from 4, the nearest whole number of attribute holders" in (
+                half["warnings"]
+            )
+            for moments in (VILLAGE_MOMENTS, round_trip):
+                assert not any("N*P" in w for w in run_json(capsys, command, "--moments", moments, *extra)["warnings"])
+
     def test_input_path_hand_values(self, capsys, pop4):
         envelope = run_json(capsys, "params", "--input", pop4)
         params = envelope["results"]["params"]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from estlab import (
     DegenerateSampleError,
     EstimatorForm,
     EstimatorId,
+    FinitePopulation,
+    PopulationParseError,
     SampleData,
     SampleStats,
     SampleTooSmallError,
@@ -21,7 +24,6 @@ from estlab import (
     UndefinedEstimateError,
     compute_sample_stats,
     estimate_general,
-    estimate_naik_gupta,
     estimate_named,
     params_from_moments,
     resolve_form,
@@ -43,78 +45,89 @@ def random_stats(rng, allow_degenerate=False):
 
 class TestSampleStats:
     def test_two_unit_hand_values(self):
-        # s_phi2 = ((0-.5)^2 + (1-.5)^2)/1 and s_yphi = (-.5)(-1) + (.5)(1)
+        # b_phi = ybar1 - ybar0 = 3 - 1
         stats = compute_sample_stats(SampleData(y=np.array([1.0, 3.0]), phi=np.array([0, 1])))
         assert stats.ybar == 2.0
         assert stats.p == 0.5
-        assert stats.s_phi2 == 0.5
-        assert stats.s_yphi == 1.0
         assert stats.b_phi == 2.0
 
     def test_constant_attribute_marks_b_phi_undefined(self):
         stats = compute_sample_stats(SampleData(y=np.array([1.0, 2.0, 4.0]), phi=np.array([1, 1, 1])))
-        assert stats.s_phi2 == 0.0
         assert stats.b_phi is None
 
     def test_constant_y_gives_zero_covariance(self):
         stats = compute_sample_stats(SampleData(y=np.array([2.0, 2.0, 2.0]), phi=np.array([0, 1, 1])))
-        assert stats.s_yphi == 0.0
         assert stats.b_phi == 0.0
 
     def test_single_unit_rejected(self):
         with pytest.raises(SampleTooSmallError):
             SampleData(y=np.array([1.0]), phi=np.array([1]))
 
+    @pytest.mark.parametrize(
+        "y, phi",
+        [
+            ([math.nan, 1.0, 2.0], [0, 1, 1]),
+            ([[1.0, 2.0], [3.0, 4.0]], [[0, 1], [1, 0]]),
+            ([1.0, 2.0], ["a", "b"]),
+            (["a", "b"], [0, 1]),
+        ],
+        ids=["nan-y", "two-dimensional", "non-numeric-phi", "non-numeric-y"],
+    )
+    def test_rejects_what_a_population_rejects(self, y, phi):
+        for cls in (SampleData, FinitePopulation):
+            with pytest.raises(PopulationParseError):
+                cls(y=y, phi=phi)
+
 
 class TestNaikGupta:
     def test_hand_value(self):
-        stats = SampleStats(ybar=3.0, p=0.4, s_phi2=0.24, s_yphi=0.1, b_phi=0.1 / 0.24)
-        assert estimate_naik_gupta(stats, 0.5) == pytest.approx(3.75, rel=1e-15)
+        stats = SampleStats(ybar=3.0, p=0.4, b_phi=0.1 / 0.24)
+        assert estimate_named(stats, 0.5, EstimatorId.NG, PARAMS) == pytest.approx(3.75, rel=1e-15)
 
     def test_matched_proportion_returns_sample_mean(self):
-        stats = SampleStats(ybar=3.0, p=0.5, s_phi2=0.25, s_yphi=0.1, b_phi=0.4)
-        assert estimate_naik_gupta(stats, 0.5) == 3.0
+        stats = SampleStats(ybar=3.0, p=0.5, b_phi=0.4)
+        assert estimate_named(stats, 0.5, EstimatorId.NG, PARAMS) == 3.0
 
     def test_zero_proportion_undefined(self):
-        stats = SampleStats(ybar=3.0, p=0.0, s_phi2=0.0, s_yphi=0.0, b_phi=None)
+        stats = SampleStats(ybar=3.0, p=0.0, b_phi=None)
         with pytest.raises(UndefinedEstimateError, match="zero sample proportion"):
-            estimate_naik_gupta(stats, 0.5)
+            estimate_named(stats, 0.5, EstimatorId.NG, PARAMS)
 
 
 class TestEstimateGeneral:
     def test_shift_free_hand_value(self):
         # (3 + 1.2*(0.5-0.4)) / 0.4 * 0.5
-        stats = SampleStats(ybar=3.0, p=0.4, s_phi2=0.5, s_yphi=0.6, b_phi=1.2)
+        stats = SampleStats(ybar=3.0, p=0.4, b_phi=1.2)
         value = estimate_general(stats, 0.5, EstimatorForm(1.0, 0.0), PARAMS)
         assert value == pytest.approx(3.9, rel=1e-15)
 
     def test_zero_slope_matches_plain_ratio_bitwise(self):
-        stats = SampleStats(ybar=3.0, p=0.4, s_phi2=0.5, s_yphi=0.0, b_phi=0.0)
+        stats = SampleStats(ybar=3.0, p=0.4, b_phi=0.0)
         general = estimate_general(stats, 0.5, EstimatorForm(1.0, 0.0), PARAMS)
-        assert general == estimate_naik_gupta(stats, 0.5)
+        assert general == estimate_named(stats, 0.5, EstimatorId.NG, PARAMS)
 
     def test_collapse_at_matched_proportion(self):
-        stats = SampleStats(ybar=7.25, p=PARAMS.P, s_phi2=0.3, s_yphi=0.2, b_phi=2.0 / 3.0)
+        stats = SampleStats(ybar=7.25, p=PARAMS.P, b_phi=2.0 / 3.0)
         for form in FAMILY_FORMS.values():
             assert estimate_general(stats, PARAMS.P, form, PARAMS) == 7.25
 
     def test_undefined_b_phi_with_mismatched_proportion(self):
-        stats = SampleStats(ybar=3.0, p=1.0, s_phi2=0.0, s_yphi=0.0, b_phi=None)
+        stats = SampleStats(ybar=3.0, p=1.0, b_phi=None)
         with pytest.raises(DegenerateSampleError):
             estimate_general(stats, 0.5, EstimatorForm(1.0, 0.0), PARAMS)
 
     def test_zero_denominator_undefined(self):
-        stats = SampleStats(ybar=3.0, p=0.4, s_phi2=0.5, s_yphi=0.6, b_phi=1.2)
+        stats = SampleStats(ybar=3.0, p=0.4, b_phi=1.2)
         with pytest.raises(UndefinedEstimateError, match="denominator"):
             estimate_general(stats, 0.5, EstimatorForm(1.0, -0.4), PARAMS)
 
     def test_zero_m1_rejected(self):
-        stats = SampleStats(ybar=3.0, p=0.4, s_phi2=0.5, s_yphi=0.6, b_phi=1.2)
+        stats = SampleStats(ybar=3.0, p=0.4, b_phi=1.2)
         with pytest.raises(UndefinedConstantError, match="m1"):
             estimate_general(stats, 0.5, EstimatorForm(0.0, 1.0), PARAMS)
 
     def test_symbols_resolve_against_params(self):
-        stats = SampleStats(ybar=3.0, p=0.3, s_phi2=0.5, s_yphi=0.6, b_phi=1.2)
+        stats = SampleStats(ybar=3.0, p=0.3, b_phi=1.2)
         via_symbol = estimate_general(stats, PARAMS.P, EstimatorForm(1.0, Symbol.BETA2_PHI), PARAMS)
         via_literal = estimate_general(stats, PARAMS.P, EstimatorForm(1.0, PARAMS.beta2_phi), PARAMS)
         assert via_symbol == via_literal
@@ -150,8 +163,12 @@ class TestEstimateNamed:
                 assert estimate_named(stats, PARAMS.P, estimator, PARAMS) == direct
 
     def test_ng_delegates(self):
-        stats = SampleStats(ybar=3.0, p=0.4, s_phi2=0.5, s_yphi=0.6, b_phi=1.2)
-        assert estimate_named(stats, 0.5, EstimatorId.NG, PARAMS) == estimate_naik_gupta(stats, 0.5)
+        # NG is t1's form (1, 0) with the slope dropped.
+        stats = SampleStats(ybar=3.0, p=0.4, b_phi=1.2)
+        zeroed = dataclasses.replace(stats, b_phi=0.0)
+        assert estimate_named(stats, 0.5, EstimatorId.NG, PARAMS) == estimate_general(
+            zeroed, 0.5, EstimatorForm(1.0, 0.0), PARAMS
+        )
 
 
 class TestFamilyProperties:
@@ -165,7 +182,7 @@ class TestFamilyProperties:
             zeroed = dataclasses.replace(stats, b_phi=0.0)
             assert estimate_general(
                 zeroed, PARAMS.P, FAMILY_FORMS[EstimatorId.T1], PARAMS
-            ) == estimate_naik_gupta(stats, PARAMS.P)
+            ) == estimate_named(stats, PARAMS.P, EstimatorId.NG, PARAMS)
 
     @given(st.floats(min_value=0.1, max_value=50.0), st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=200)
@@ -202,14 +219,20 @@ def test_estimator_labels():
     assert [e.value for e in EstimatorId] == ["ng"] + [f"t{i}" for i in range(1, 11)]
 
 
-def test_b_phi_definition_matches_ratio():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        stats = random_stats(rng)
-        if stats.s_phi2 > 0:
-            assert stats.b_phi == pytest.approx(stats.s_yphi / stats.s_phi2, rel=1e-15)
-        else:
-            assert stats.b_phi is None
+def test_b_phi_matches_exact_difference_of_group_means():
+    # The exact rational ybar1 - ybar0 of the float data, against the
+    # spread of y: the rounding of a large mean must not leak into b_phi.
+    rng = np.random.default_rng(17)
+    for offset in (0.0, 1e3, 1e6):
+        for _ in range(300):
+            n = int(rng.integers(3, 30))
+            phi = np.zeros(n, dtype=int)
+            phi[rng.permutation(n)[: int(rng.integers(1, n))]] = 1
+            y = offset + rng.normal(0.0, 3.0, n)
+            groups = [[Fraction(v) for v in y[phi == h]] for h in (1, 0)]
+            exact = sum(groups[0]) / len(groups[0]) - sum(groups[1]) / len(groups[1])
+            b_phi = compute_sample_stats(SampleData(y=y, phi=phi)).b_phi
+            assert abs(Fraction(b_phi) - exact) <= 1e-15 * np.abs(y - y.mean()).max(), (offset, y, phi)
 
 
 def test_p_is_sample_attribute_share():

@@ -3,14 +3,16 @@ documented quickstart that uses it."""
 
 import ast
 import inspect
+import json
 import re
+import shlex
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import estlab
-from estlab import errors, estimators, population, simulation, theory
+from estlab import cli, errors, estimators, population, simulation, theory
 
 MODULES = (errors, estimators, population, simulation, theory)
 
@@ -45,9 +47,28 @@ def test_package_names_resolve_to_their_defining_module():
     assert sorted(estlab.__all__) == sorted(n for m in MODULES for n in m.__all__)
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(heading: str, language: str) -> str:
+    section = README.read_text(encoding="utf-8").split(f"## {heading}", 1)[1]
+    block = re.search(rf"```{language}\n(.*?)```", section, re.DOTALL)
+    assert block, f"README's {heading} has no {language} block"
+    return block.group(1)
+
+
 def test_readme_quickstart_runs():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Library quickstart", 1)[1]
-    block = re.search(r"```python\n(.*?)```", section, re.DOTALL)
-    assert block, "README's Library quickstart has no python block"
-    exec(compile(block.group(1), "README.md#library-quickstart", "exec"), {})
+    code = _readme_block("Library quickstart", "python")
+    exec(compile(code, "README.md#library-quickstart", "exec"), {})
+
+
+def test_readme_command_line_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pop.csv").write_text("y,phi\n1.5,0\n2.25,1\n3,0\n4.5,1\n5,1\n6.75,0\n", encoding="utf-8")
+    commands = [shlex.split(line, comments=True) for line in _readme_block("Command line", "sh").splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert commands and all(argv[0] == "estlab" for argv in commands)
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, argv
+        envelope = json.loads(capsys.readouterr().out)
+        assert list(envelope) == ["command", "inputs", "results", "warnings"], argv

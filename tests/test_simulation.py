@@ -458,16 +458,29 @@ class TestMonteCarlo:
             assert a.empirical_bias == pytest.approx(b.empirical_bias, rel=1e-9, abs=1e-12)
 
     def test_first_replicate_matches_single_draw(self):
-        # Replicate i is a pure function of (seed, i); replicate 0 must agree
-        # with a fresh single draw from the same keyed generator.
-        pop = synthesize_population(SyntheticSpec(N=18, P_target=0.5, intercept=6, attribute_effect=2), seed=9)
+        # Replicate i is a pure function of (seed, i); replicate 0 must agree,
+        # row by row, with the scalar estimators on a fresh single draw from
+        # the same keyed generator, and be skipped exactly where the sample
+        # attribute is constant or the scalar estimator fails.
+        pop = synthesize_population(SyntheticSpec(N=12, P_target=0.5, attribute_effect=2.0), seed=1)
         params = compute_params(pop)
-        sample = draw_srswor(pop, 6, np.random.Generator(np.random.Philox(key=31)))
-        stats = compute_sample_stats(sample)
-        expected = estimate_named(stats, params.P, EstimatorId.T2, params)
-        config = SimConfig(n=6, replicates=1, seed=31, estimators=(EstimatorId.T2,))
-        row = monte_carlo(pop, config).row("t2")
-        assert row.empirical_mean == pytest.approx(expected, rel=1e-12)
+        constant = 0
+        for seed in range(200):
+            stats = compute_sample_stats(draw_srswor(pop, 4, np.random.Generator(np.random.Philox(key=seed))))
+            result = monte_carlo(pop, SimConfig(n=4, replicates=1, seed=seed))
+            constant += stats.p in (0.0, 1.0)
+            for e in EstimatorId:
+                row = result.row(e)
+                try:
+                    expected = estimate_named(stats, params.P, e, params)
+                except EstlabError:
+                    expected = None
+                if stats.p in (0.0, 1.0) or expected is None:
+                    assert (row.effective_replicates, row.degenerate_count) == (0, 1), (seed, e)
+                else:
+                    assert row.effective_replicates == 1, (seed, e)
+                    assert row.empirical_mean == pytest.approx(expected, rel=1e-12, abs=0.0), (seed, e)
+        assert 0 < constant < 200
 
     def test_seed_changes_results(self):
         pop = synthesize_population(SyntheticSpec(N=20, P_target=0.4, intercept=6, attribute_effect=2), seed=3)

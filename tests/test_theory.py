@@ -222,7 +222,7 @@ class TestLinearizationCoefficients:
         h = 1e-6
 
         def evaluate(p, ybar):
-            stats = SampleStats(ybar=ybar, p=p, s_phi2=1.0, s_yphi=params.B_phi, b_phi=params.B_phi)
+            stats = SampleStats(ybar=ybar, p=p, b_phi=params.B_phi)
             return estimate_general(stats, params.P, form, params)
 
         fd_p = (evaluate(params.P + h, params.Ybar) - evaluate(params.P - h, params.Ybar)) / (2 * h)
@@ -364,8 +364,6 @@ class TestTaylorResidualOrder:
             stats = SampleStats(
                 ybar=params.Ybar + delta,
                 p=params.P + delta,
-                s_phi2=1.0,
-                s_yphi=params.B_phi,
                 b_phi=params.B_phi,
             )
             exact = estimate_general(stats, params.P, form, params)
