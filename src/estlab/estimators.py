@@ -35,7 +35,7 @@ from .errors import (
     UndefinedConstantError,
     UndefinedEstimateError,
 )
-from .population import PopulationParams, _checked_columns
+from .population import PopulationParams, _checked_columns, _readonly
 
 __all__ = [
     "FAMILY_FORMS",
@@ -120,8 +120,8 @@ class SampleData:
 
     def __post_init__(self) -> None:
         y, phi = _checked_columns(self.y, self.phi, SampleTooSmallError, "sample")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "y", _readonly(y))
+        object.__setattr__(self, "phi", _readonly(phi))
 
     @property
     def n(self) -> int:

@@ -128,14 +128,6 @@ class PopulationParams:
     N: int | None = None
 
     @property
-    def S_y(self) -> float:
-        return math.sqrt(self.S_y2)
-
-    @property
-    def S_phi(self) -> float:
-        return math.sqrt(self.S_phi2)
-
-    @property
     def B_phi(self) -> float:
         """Population regression coefficient of y on the attribute."""
         return self.S_yphi / self.S_phi2

@@ -16,13 +16,15 @@ estimator.  Each ratio-type row is resolved once to its (m1, m2) and
 whether it uses the slope; the plain ratio estimator (NG) is t1's (1, 0)
 without it.  At a fixed ``a`` every row is a factor ``K(a)`` times
 ``Ybar + v``, where the centred numerator v is the slope-adjusted sample
-mean minus ``Ybar`` for the family members, and the plain one for NG.  The
-factor tables come from :func:`~estlab.estimators.family_estimate` at
-a = 0..n, as the scalar estimators' values do.  So both modes reduce the
-samples to the count, mean and sum of squared deviations of the two
-numerators at each ``a``, and one function evaluates all rows at once on
-``(rows, n+1)`` tables; the per-sample work does not depend on the number
-of rows.
+mean minus ``Ybar`` for the family members, and the plain one, u, for NG.
+The sample mean is row 0: factor 1 on u, defined at every a.  The factor
+tables come from :func:`~estlab.estimators.family_estimate` at a = 0..n,
+as the scalar estimators' values do, and one function, ``_row_plan``,
+builds every row's.  So both modes reduce the samples to the count, mean
+and sum of squared deviations of the two numerators at each ``a``, and one
+function evaluates all rows at once on ``(rows, n+1)`` tables; the
+per-sample work does not depend on the number of rows.  The two modes
+differ only in how they build those per-``a`` tables.
 Monte Carlo gathers the sums of each drawn sample from its unit indices
 and takes the tables over chunks of samples.  Enumeration does no work per
 n-subset: the subsets holding ``a`` holders are the pairs of an a-subset of
@@ -34,12 +36,12 @@ per-row sums into rows through one summary function.
 Degenerate samples and the skip policy
 --------------------------------------
 Whether a row is defined on a sample depends only on ``a``, so each row
-carries a table ``defined[a]`` over a = 0..n.  No row is defined where the
-attribute is constant (a = 0 or n), nor a family member where its
-denominator ``m1*(a/n) + m2`` is zero, nor anywhere a form whose m1
-resolves to zero.  Under the default ``skip`` policy a row leaves out and
-counts the samples it is not defined on; every ratio-type row skips the
-constant-attribute ones.  The built-in sample-mean benchmark is never
+carries a table ``defined[a]`` over a = 0..n.  No ratio-type row is
+defined where the attribute is constant (a = 0 or n), nor a family member
+where its denominator ``m1*(a/n) + m2`` is zero, nor anywhere a form whose
+m1 resolves to zero.  Under the default ``skip`` policy a row leaves out
+and counts the samples it is not defined on; every ratio-type row skips
+the constant-attribute ones.  The built-in sample-mean benchmark is never
 skipped.  Under the ``error`` policy the first sample that some requested
 row cannot evaluate aborts the run, and an undefined form aborts it before
 any sample.  The error names that sample's index: its replicate index in
@@ -62,9 +64,8 @@ thread holds one pass of deviates and indices at a time.  The estimators
 run on the calling thread over the chunks in replicate-index order, and
 the chunk size depends only on N, so the output is bit-identical whatever
 the thread count.  The chunk, not the pass, fixes the output.  Within a
-chunk, the ratio rows' sums by ``a`` are taken over blocks of 128
-samples, and the block subtotals pairwise; chunk subtotals are added with
-exact summation.
+chunk, the sums by ``a`` are taken over blocks of 128 samples, and the
+block subtotals pairwise; chunk subtotals are added with exact summation.
 Synthetic-population
 noise uses the same keyed generator from a disjoint counter block, so a
 shared seed never reuses a stream.
@@ -88,7 +89,7 @@ from .errors import (
     UndefinedConstantError,
 )
 from .estimators import EstimatorId, SampleData, _row_form, family_estimate
-from .population import FinitePopulation, PopulationParams, compute_params
+from .population import FinitePopulation, compute_params
 
 __all__ = [
     "ENUMERATION_GUARD",
@@ -265,12 +266,6 @@ def draw_srswor(pop: FinitePopulation, n: int, rng: np.random.Generator) -> Samp
     return SampleData(y=pop.y[idx], phi=pop.phi[idx])
 
 
-def _normalize_estimators(estimators: Iterable[EstimatorId] | None) -> tuple[EstimatorId, ...]:
-    """Deduplicate the requested ratio-type estimators, in declaration order."""
-    chosen = set(EstimatorId(e) for e in estimators) if estimators is not None else set(EstimatorId)
-    return tuple(e for e in EstimatorId if e in chosen)
-
-
 def _unit_columns(pop: FinitePopulation) -> tuple[float, np.ndarray]:
     """The population mean and the (3, N) unit columns ``phi``, ``y - Ybar``
     and ``(y - Ybar)*phi``, whose per-sample sums feed the kernel."""
@@ -280,25 +275,36 @@ def _unit_columns(pop: FinitePopulation) -> tuple[float, np.ndarray]:
 
 
 def _row_plan(
-    params: PopulationParams, n: int, estimators: tuple[EstimatorId, ...], policy: DegeneratePolicy
-) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """Resolve the requested rows once to (labels, uses_slope, defined, factor).
+    pop: FinitePopulation, n: int, estimators: Iterable[EstimatorId] | None, policy: DegeneratePolicy
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Resolve the rows once to (labels, numerator, defined, factor, weights).
 
-    Each row's form comes from ``_row_form``, as the scalar estimators'
-    does; NG is t1's (1, 0) without the slope term.  ``defined[r, a]`` tells
-    whether row r can be evaluated on a sample holding a = 0..n attribute
-    units: the attribute is not constant and ``m1*(a/n) + m2`` is nonzero.
-    ``factor[r, a]`` is the row's estimate over the slope-adjusted sample
-    mean there, ``family_estimate(1, a/n, P, 0, m1, m2)``, and 0 where the
-    row is not defined.  A form whose m1 resolves to zero raises
+    Row 0 is the sample mean: factor 1 on u, defined at every a.  Then one
+    row per requested estimator (all when ``estimators`` is None), in
+    declaration order.  Each row's form comes from ``_row_form``, as the
+    scalar estimators' does; NG is t1's (1, 0) on u, every other row reads
+    the slope-adjusted numerator x (``numerator`` 0 or 1).
+    ``defined[r, a]`` tells whether row r can be evaluated on a sample
+    holding a = 0..n attribute units: the attribute is not constant and
+    ``m1*(a/n) + m2`` is nonzero.  ``factor[r, a]`` is the row's estimate
+    over its numerator there, ``family_estimate(1, a/n, P, 0, m1, m2)``,
+    and 0 where the row is not defined.  ``weights`` are the slope weights
+    of :func:`_slope_weights`.  A form whose m1 resolves to zero raises
     UndefinedConstantError under ``error``; under ``skip`` it becomes
-    (0, 0), which is defined nowhere.
+    (0, 0), which is defined nowhere.  The population parameters are
+    computed only when some ratio-type row is requested.
     """
+    chosen = set(EstimatorId) if estimators is None else {EstimatorId(e) for e in estimators}
+    rows = [e for e in EstimatorId if e in chosen]
     counts = np.arange(n + 1)
     p = counts / n  # the kernel's a / n, so the denominators round alike
     interior = (counts > 0) & (counts < n)
-    labels, uses_slope, defined, factor = [], [], [], []
-    for e in estimators:
+    labels, numerator, defined, factor = ["mean"], [0], [np.ones(n + 1, dtype=bool)], [np.ones(n + 1)]
+    weights = np.zeros((2, n + 1))
+    if rows:
+        params = compute_params(pop)
+        weights = _slope_weights(params.P, n)
+    for e in rows:
         try:
             m1, m2, slope = _row_form(e, params)
         except UndefinedConstantError:  # only a family member's m1 can resolve to zero
@@ -309,10 +315,10 @@ def _row_plan(
         with np.errstate(divide="ignore", invalid="ignore"):
             k = family_estimate(1.0, p, params.P, 0.0, m1, m2)
         labels.append(e.value)
-        uses_slope.append(slope)
+        numerator.append(int(slope))
         defined.append(ok)
         factor.append(np.where(ok, k, 0.0))
-    return labels, np.array(uses_slope), np.array(defined), np.array(factor)
+    return labels, np.array(numerator), np.array(defined), np.array(factor), weights
 
 
 def _undefined_reason(labels: list[str], defined: np.ndarray, n: int, a: int) -> str:
@@ -354,35 +360,35 @@ class _ByCount:
         return mean, self.sums(r * r)
 
 
-def _slope_weights(P: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per count a = 0..n, the weights (w1, w0) that give the slope-adjusted
-    numerator ``x = u + w1[a]*sum_ycphi - w0[a]*(sum_yc - sum_ycphi)``, which
-    is ``u + (P - a/n)*(ybar1 - ybar0)`` with y centred; 0 where a is 0 or n."""
+def _slope_weights(P: float, n: int) -> np.ndarray:
+    """Per count a = 0..n, the (2, n+1) weights (w1, w0) that give the
+    slope-adjusted numerator ``x = u + w1[a]*sum_ycphi - w0[a]*(sum_yc -
+    sum_ycphi)``, which is ``u + (P - a/n)*(ybar1 - ybar0)`` with y
+    centred; 0 where a is 0 or n."""
     counts = np.arange(n + 1)
     interior = (counts > 0) & (counts < n)
     with np.errstate(divide="ignore", invalid="ignore"):
-        shift = P - counts / n
-        w1 = np.where(interior, shift / counts, 0.0)
-        w0 = np.where(interior, shift / (n - counts), 0.0)
-    return w1, w0
+        return np.where(interior, (P - counts / n) / np.stack([counts, n - counts]), 0.0)
 
 
 def _row_sums(
-    factor: np.ndarray, defined: np.ndarray, true_mean: float, count: np.ndarray, mean: np.ndarray, m2: np.ndarray
+    plan: tuple, true_mean: float, count: np.ndarray, mean: np.ndarray, m2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row, the sum and the sum of squares of the deviations from
-    ``true_mean``, and the number of samples kept, from per-count tables.
+    """Per row of ``plan`` (:func:`_row_plan`), the sum and the sum of
+    squares of the deviations from ``true_mean``, and the number of samples
+    kept, from per-count tables.
 
-    ``factor`` and ``defined`` are the (rows, n+1) tables of :func:`_row_plan`;
-    ``count`` holds the samples at each a = 0..n, and ``mean`` and ``m2``
-    the mean and the sum of squared deviations of each row's numerator v
-    there.  At a fixed a a row's deviation is ``(K - 1)*true_mean + K*v``,
-    so every term of the sum of squares is nonnegative.
+    ``count`` holds the samples at each a = 0..n, and row j of the (2, n+1)
+    tables ``mean`` and ``m2`` the mean and the sum of squared deviations
+    of numerator j (0: u, 1: x) there; each row reads the numerator its
+    plan names.  At a fixed a a row's deviation is ``(K - 1)*true_mean +
+    K*v``, so every term of the sum of squares is nonnegative.
     """
+    _, numerator, defined, factor, _ = plan
     kept = count * defined
-    g = (factor - 1.0) * true_mean + factor * mean
+    g = (factor - 1.0) * true_mean + factor * mean[numerator]
     sum_d = (kept * g).sum(axis=1)
-    sum_d2 = (factor * factor * m2 + kept * g * g).sum(axis=1)
+    sum_d2 = (factor * factor * m2[numerator] + kept * g * g).sum(axis=1)
     return sum_d, sum_d2, kept.sum(axis=1)
 
 
@@ -416,16 +422,15 @@ def _summarize(
 
 
 def _run_batches(
-    pop: FinitePopulation,
+    plan: tuple,
     n: int,
-    estimators: tuple[EstimatorId, ...],
     policy: DegeneratePolicy,
     true_mean: float,
     batches: Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]],
     total: int,
 ) -> SimResult:
-    """Evaluate the sample-mean benchmark plus the requested estimators on
-    Monte Carlo chunks.
+    """Evaluate the rows of ``plan`` (:func:`_row_plan`) on Monte Carlo
+    chunks.
 
     ``batches`` yields (start_index, a, sum_yc, sum_ycphi) in sample order:
     per sample, the attribute count and the sums of ``y - true_mean`` and
@@ -434,27 +439,15 @@ def _run_batches(
     Each chunk is reduced to two centred numerators per sample: ``u``, the
     sample mean minus ``true_mean``, and ``x = u + (P - a/n)*b_phi``, with
     b_phi the difference of group means (taken as 0 where a is 0 or n).
-    NG's numerator is u and every slope row's is x, so every row's sums
+    The sample mean and NG read u, every slope row x, so every row's sums
     follow from the count, the mean and the sum of squared deviations of u
     and x at each a = 0..n (:func:`_row_sums`): per-sample work does not
-    grow with the number of rows.  The sample-mean row sums u and u*u
-    directly.
+    grow with the number of rows.
     """
-    params = compute_params(pop) if estimators else None
-    if params is not None:
-        labels, uses_slope, defined, factor = _row_plan(params, n, estimators, policy)
-        evaluable = defined.all(axis=0)
-        w1, w0 = _slope_weights(params.P, n)
-        row_numerator = uses_slope.astype(np.intp)  # 0: u, 1: x
-    else:
-        labels = []
+    labels, numerator, defined, _, (w1, w0) = plan
+    evaluable = defined.all(axis=0)
     chunks = []
-
     for start, a, sum_yc, sum_ycphi in batches:
-        u = sum_yc / n
-        chunks.append(([u.sum()], [(u * u).sum()], [u.size]))
-        if not labels:
-            continue
         a_int = a.astype(np.intp)
         groups = _ByCount(a_int, n)
         if policy == "error" and groups.count[~evaluable].any():
@@ -462,17 +455,14 @@ def _run_batches(
             reason = _undefined_reason(labels, defined, n, int(a_int[first]))
             raise DegenerateSampleError(reason, replicate=start + first)
 
-        mean = np.zeros((2, n + 1))
-        m2 = np.zeros((2, n + 1))
-        if not uses_slope.all():
-            mean[0], m2[0] = groups.moments(u)
-        if uses_slope.any():
+        u = sum_yc / n
+        mean, m2 = np.zeros((2, n + 1)), np.zeros((2, n + 1))
+        mean[0], m2[0] = groups.moments(u)
+        if numerator.any():
             x = u + w1[a_int] * sum_ycphi - w0[a_int] * (sum_yc - sum_ycphi)
             mean[1], m2[1] = groups.moments(x)
-        sums = _row_sums(factor, defined, true_mean, groups.count, mean[row_numerator], m2[row_numerator])
-        chunks[-1] = [np.append(m, s) for m, s in zip(chunks[-1], sums)]
-
-    return _summarize(["mean", *labels], chunks, n, total, true_mean, "monte_carlo")
+        chunks.append(_row_sums(plan, true_mean, groups.count, mean, m2))
+    return _summarize(labels, chunks, n, total, true_mean, "monte_carlo")
 
 
 def _subset_sum_moments(values: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -543,7 +533,8 @@ def enumerate_all_samples(
         raise TooManySamplesError(
             f"C({pop.N},{n}) = {total} subsets exceeds the guard of {ENUMERATION_GUARD}"
         )
-    chosen = _normalize_estimators(estimators)
+    plan = _row_plan(pop, n, estimators, degenerate_policy)
+    labels, _, defined, _, (w1, w0) = plan
     true_mean = float(pop.y.mean())
     yc = pop.y - true_mean  # centred for stable sums
     holds = pop.phi == 1
@@ -556,34 +547,21 @@ def enumerate_all_samples(
     c1, mean1, m2_1 = _subset_sum_moments(yc[holds], np.where(held, counts, N1 + 1))
     c0, mean0, m2_0 = _subset_sum_moments(yc[~holds], np.where(held, n - counts, N0 + 1))
     count = c1 * c0  # exact: at most the guard
-
-    # The sample-mean row is factor 1 on u, defined at every a.
-    labels, uses_slope = ["mean"], np.zeros(1, dtype=bool)
-    defined, factor = np.ones((1, n + 1), dtype=bool), np.ones((1, n + 1))
-    w1 = w0 = np.zeros(n + 1)
-    if chosen:
-        params = compute_params(pop)
-        row_labels, row_slope, row_defined, row_factor = _row_plan(params, n, chosen, degenerate_policy)
-        bad = [a for a in range(n + 1) if count[a] and not row_defined[:, a].all()]
-        if degenerate_policy == "error" and bad:
-            # The first subset holding a holders takes the first a of them
-            # and the first n - a non-holders.
-            holders, others = np.flatnonzero(holds).tolist(), np.flatnonzero(~holds).tolist()
-            rank, a = min((_subset_rank(pop.N, sorted(holders[:a] + others[: n - a])), a) for a in bad)
-            raise DegenerateSampleError(_undefined_reason(row_labels, row_defined, n, a), replicate=rank)
-        labels += row_labels
-        uses_slope = np.append(uses_slope, row_slope)
-        defined, factor = np.vstack([defined, row_defined]), np.vstack([factor, row_factor])
-        w1, w0 = _slope_weights(params.P, n)
+    bad = [a for a in range(n + 1) if count[a] and not defined[:, a].all()]
+    if degenerate_policy == "error" and bad:
+        # The first subset holding a holders takes the first a of them
+        # and the first n - a non-holders.
+        holders, others = np.flatnonzero(holds).tolist(), np.flatnonzero(~holds).tolist()
+        rank, a = min((_subset_rank(pop.N, sorted(holders[:a] + others[: n - a])), a) for a in bad)
+        raise DegenerateSampleError(_undefined_reason(labels, defined, n, a), replicate=rank)
 
     # The numerators u = (S1 + S0)/n and x = u + w1*S1 - w0*S0.
-    alpha = 1.0 / n + np.stack([np.zeros(n + 1), w1])
-    beta = 1.0 / n - np.stack([np.zeros(n + 1), w0])
+    zero = np.zeros(n + 1)
+    alpha = 1.0 / n + np.stack([zero, w1])
+    beta = 1.0 / n - np.stack([zero, w0])
     mean = alpha * mean1 + beta * mean0
     m2 = c0 * alpha * alpha * m2_1 + c1 * beta * beta * m2_0
-    numerator = uses_slope.astype(np.intp)  # 0: u, 1: x
-    sums = _row_sums(factor, defined, true_mean, count, mean[numerator], m2[numerator])
-    return _summarize(labels, [sums], n, total, true_mean, "enumerate")
+    return _summarize(labels, [_row_sums(plan, true_mean, count, mean, m2)], n, total, true_mean, "enumerate")
 
 
 def _sample_chunk(
@@ -667,17 +645,10 @@ def monte_carlo(pop: FinitePopulation, config: SimConfig) -> SimResult:
         raise InvalidSampleSizeError(
             f"Monte Carlo needs 2 <= n < {pop.N}, got {config.n}"
         )
+    plan = _row_plan(pop, config.n, config.estimators, config.degenerate_policy)
     true_mean, cols = _unit_columns(pop)
     batches = _replicate_batches(cols, config.n, config.seed, config.replicates)
     try:
-        return _run_batches(
-            pop,
-            config.n,
-            _normalize_estimators(config.estimators),
-            config.degenerate_policy,
-            true_mean,
-            batches,
-            config.replicates,
-        )
+        return _run_batches(plan, config.n, config.degenerate_policy, true_mean, batches, config.replicates)
     finally:
         batches.close()  # stops the sampling threads if the kernel raised

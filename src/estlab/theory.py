@@ -58,7 +58,6 @@ __all__ = [
     "efficiency_vs_mean",
     "efficiency_vs_ng",
     "form_ratio_constant",
-    "k_yp",
     "linearization_coefficients",
     "mse_from_linearization",
     "mse_proposed",
@@ -147,11 +146,6 @@ def ratio_constant(estimator: EstimatorId, params: PopulationParams) -> float:
     return form_ratio_constant(params, FAMILY_FORMS[estimator])
 
 
-def k_yp(params: PopulationParams) -> float:
-    """Scaled correlation rho_pb * C_y / C_p used in the NG comparison."""
-    return params.rho_pb * params.C_y / params.C_p
-
-
 def _unit_mse(params: PopulationParams, estimator: EstimatorId) -> float:
     """MSE without the fpc factor, G^2 S_phi2 + S_e2; NG takes G = Ybar0/P."""
     ng = estimator is EstimatorId.NG
@@ -235,10 +229,10 @@ def efficiency_vs_ng(params: PopulationParams, estimator: EstimatorId) -> Compar
     """Does the family member beat the plain ratio estimator?
 
     Ground truth is the direct difference MSE(NG) - MSE(t).  The classical
-    threshold statement rho^2 >= (S_phi2/S_y2)(R^2 - R1^2 + 2 R1 K_yp) is
-    also evaluated; it drops a factor of R1 on the cross term, so a sign
-    disagreement is possible and is reported via ``threshold_agrees`` rather
-    than altering the predicate.
+    threshold statement rho^2 >= (S_phi2/S_y2)(R^2 - R1^2 + 2 R1 K_yp), with
+    K_yp = rho_pb C_y / C_p, is also evaluated; it drops a factor of R1 on
+    the cross term, so a sign disagreement is possible and is reported via
+    ``threshold_agrees`` rather than altering the predicate.
     """
     if estimator is EstimatorId.NG:
         raise ValueError("the comparison is defined for the family members t1..t10")
@@ -247,7 +241,7 @@ def efficiency_vs_ng(params: PopulationParams, estimator: EstimatorId) -> Compar
     g_ng = params.Ybar0 / params.P
     margin = params.S_phi2 * (g_ng * g_ng - ratio * ratio)  # the shared S_e2 cancels exactly
     threshold_margin = params.rho_pb**2 - (params.S_phi2 / params.S_y2) * (
-        ratio * ratio - r1 * r1 + 2.0 * r1 * k_yp(params)
+        ratio * ratio - r1 * r1 + 2.0 * r1 * (params.rho_pb * params.C_y / params.C_p)
     )
     return ComparisonResult(
         beats=margin >= 0.0,

@@ -59,6 +59,13 @@ class TestSampleStats:
         stats = compute_sample_stats(SampleData(y=np.array([2.0, 2.0, 2.0]), phi=np.array([0, 1, 1])))
         assert stats.b_phi == 0.0
 
+    def test_columns_are_read_only_copies(self):
+        y = np.array([1.0, 2.0, 3.0])
+        sample = SampleData(y=y, phi=[0, 1, 1])
+        y[0] = np.nan
+        assert compute_sample_stats(sample).ybar == 2.0
+        assert not sample.y.flags.writeable and not sample.phi.flags.writeable
+
     def test_single_unit_rejected(self):
         with pytest.raises(SampleTooSmallError):
             SampleData(y=np.array([1.0]), phi=np.array([1]))

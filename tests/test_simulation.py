@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from estlab import (
+    DegeneratePopulationError,
     DegenerateSampleError,
     EstimatorId,
     EstlabError,
@@ -52,37 +53,46 @@ ZERO_T4_FIRST = FinitePopulation(y=np.array([1.0, 1.0, 1.0, 2.0]), phi=np.array(
 UNCORRELATED = FinitePopulation(y=np.array([1.0, 2.0, 2.0, 1.0, 3.0, 3.0]), phi=np.array([1, 1, 0, 0, 0, 1]))
 
 
-def brute_force_rows(pop, n, estimators):
-    """Independent scalar oracle: walk every subset with the scalar API.
+def brute_force_rows(pop, samples, estimators):
+    """Independent scalar oracle: evaluate the sample mean and each
+    estimator with the scalar API on every sample in ``samples`` (arrays of
+    unit indices).
 
-    A subset with a constant attribute, or one the scalar estimator rejects
-    with a zero denominator, is counted as skipped.
+    A sample with a constant attribute, or one the scalar estimator rejects
+    with a zero denominator, is counted as skipped by the estimator rows.
     """
     params = compute_params(pop)
     true_mean = float(pop.y.mean())
-    out = {}
+    stats = [compute_sample_stats(SampleData(y=pop.y[idx], phi=pop.phi[idx])) for idx in samples]
+    values = {"mean": [s.ybar for s in stats]}
     for estimator in estimators:
-        values = []
-        skipped = 0
-        for subset in combinations(range(pop.N), n):
-            idx = np.array(subset)
-            stats = compute_sample_stats(SampleData(y=pop.y[idx], phi=pop.phi[idx]))
-            if stats.p in (0.0, 1.0):
-                skipped += 1
+        values[estimator.value] = []
+        for s in stats:
+            if s.p in (0.0, 1.0):
                 continue
             try:
-                values.append(estimate_named(stats, params.P, estimator, params))
+                values[estimator.value].append(estimate_named(s, params.P, estimator, params))
             except UndefinedEstimateError:
-                skipped += 1
-        deviations = np.array(values) - true_mean
-        out[estimator.value] = {
-            "mean": float(np.mean(values)),
+                pass
+    out = {}
+    for label, v in values.items():
+        deviations = np.array(v) - true_mean
+        out[label] = {
+            "mean": float(np.mean(v)),
             "bias": float(np.mean(deviations)),
             "mse": float(np.mean(deviations**2)),
-            "skipped": skipped,
-            "kept": len(values),
+            "skipped": len(stats) - len(v),
+            "kept": len(v),
         }
     return out
+
+
+def replicate_units(N, n, seed, i):
+    """The units of Monte Carlo replicate i drawn alone: the n smallest of
+    the N deviates in its slice of the keyed Philox stream."""
+    bits = np.random.Philox(key=seed)
+    bits.advance(i * -(-N // 4))
+    return np.argsort(np.random.Generator(bits).random(N))[:n]
 
 
 def exact_rows(pop, n):
@@ -248,7 +258,7 @@ class TestEnumerateGeneral:
         ]
         wanted = list(EstimatorId)
         for pop, n in cases:
-            oracle = brute_force_rows(pop, n, wanted)
+            oracle = brute_force_rows(pop, [np.array(c) for c in combinations(range(pop.N), n)], wanted)
             result = enumerate_all_samples(pop, n, wanted)
             for estimator in wanted:
                 row = result.row(estimator)
@@ -482,6 +492,39 @@ class TestMonteCarlo:
                     assert row.empirical_mean == pytest.approx(expected, rel=1e-12, abs=0.0), (seed, e)
         assert 0 < constant < 200
 
+    def test_every_replicate_matches_scalar_estimators(self, monkeypatch):
+        # Each replicate rebuilt alone from its slice of the Philox stream;
+        # every row, the sample mean included, must match the scalar
+        # estimators over those samples, across 7-row chunks.
+        pop = synthesize_population(SyntheticSpec(N=13, P_target=0.4, intercept=6.0, attribute_effect=2.0), seed=2)
+        n, replicates = 4, 200
+        monkeypatch.setattr(simulation, "_BATCH_ELEMENTS", 4 * pop.N * 7)
+        for seed in (1, 2, 3):
+            samples = [replicate_units(pop.N, n, seed, i) for i in range(replicates)]
+            oracle = brute_force_rows(pop, samples, list(EstimatorId))
+            result = monte_carlo(pop, SimConfig(n=n, replicates=replicates, seed=seed))
+            assert len(result.rows) == 12
+            assert 0 < result.row("t2").degenerate_count < replicates
+            for row in result.rows:
+                expected = oracle[row.estimator]
+                assert row.effective_replicates == expected["kept"], (seed, row.estimator)
+                assert row.empirical_mse == pytest.approx(expected["mse"], rel=1e-12), (seed, row.estimator)
+                assert row.empirical_bias == pytest.approx(
+                    expected["bias"], rel=1e-9, abs=1e-12 * abs(result.true_mean)
+                ), (seed, row.estimator)
+
+    def test_mean_only_runs_need_no_population_parameters(self):
+        # The population mean is zero, so compute_params refuses it; the
+        # sample-mean row alone must not ask for it, in either engine.
+        pop = FinitePopulation(y=[-1.0, 1.0, -2.0, 2.0, 0.0], phi=[1, 0, 1, 0, 1])
+        with pytest.raises(DegeneratePopulationError):
+            compute_params(pop)
+        sampled = monte_carlo(pop, SimConfig(n=2, replicates=100, estimators=()))
+        exact = enumerate_all_samples(pop, 2, ())
+        assert [r.estimator for r in sampled.rows] == [r.estimator for r in exact.rows] == ["mean"]
+        assert sampled.row("mean").effective_replicates == 100
+        assert exact.row("mean").effective_replicates == 10
+
     def test_seed_changes_results(self):
         pop = synthesize_population(SyntheticSpec(N=20, P_target=0.4, intercept=6, attribute_effect=2), seed=3)
         a = monte_carlo(pop, SimConfig(n=5, replicates=2000, seed=1, estimators=(EstimatorId.T2,)))
@@ -687,12 +730,8 @@ class TestChunkSampling:
 
     @staticmethod
     def replicate_sums(cols, n, seed, i):
-        """The sums of replicate i drawn alone: the n smallest of its N deviates."""
-        N = cols.shape[1]
-        bits = np.random.Philox(key=seed)
-        bits.advance(i * -(-N // 4))
-        idx = np.argsort(np.random.Generator(bits).random(N))[:n]
-        return cols[:, idx].sum(axis=1)
+        """The sums of replicate i drawn alone."""
+        return cols[:, replicate_units(cols.shape[1], n, seed, i)].sum(axis=1)
 
     @pytest.mark.parametrize("N, n", [(5, 2), (13, 4), (2001, 100)])
     def test_chunk_sums_match_single_draws(self, N, n):

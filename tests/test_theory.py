@@ -19,7 +19,6 @@ from estlab import (
     efficiency_vs_ng,
     estimate_general,
     form_ratio_constant,
-    k_yp,
     linearization_coefficients,
     mse_from_linearization,
     mse_proposed,
@@ -434,5 +433,9 @@ def test_mse_report_keeps_a_zero_mse_without_pre():
     assert report.pre_vs_mean is None
 
 
-def test_k_yp_definition():
-    assert k_yp(VILLAGES) == pytest.approx(0.766 * 0.604 / 2.19, rel=1e-15)
+def test_ng_threshold_margin_hand_formula():
+    # rho^2 - (S_phi2/S_y2)(R^2 - R1^2 + 2 R1 K_yp), K_yp = rho C_y / C_p.
+    r = ratio_constant(EstimatorId.T1, VILLAGES)
+    r1 = 3.36 / 0.1236
+    expected = 0.766**2 - (VILLAGES.S_phi2 / VILLAGES.S_y2) * (r * r - r1 * r1 + 2 * r1 * 0.766 * 0.604 / 2.19)
+    assert efficiency_vs_ng(VILLAGES, EstimatorId.T1).threshold_margin == pytest.approx(expected, rel=1e-12)
