@@ -69,8 +69,17 @@ class CliError(Exception):
     """Validation failure that should exit with a usage error code."""
 
 
-def _parse_kv_list(text: str, allowed: dict[str, Any], what: str) -> dict[str, float]:
-    """Parse 'k=v,k=v' where allowed maps key -> converter."""
+def _one_of(args: argparse.Namespace, first: str, second: str) -> str:
+    """Name the one of two options that was given; refuse both or neither."""
+    given = [name for name in (first, second) if getattr(args, name) is not None]
+    if len(given) != 1:
+        rule = "give exactly one of --{} or --{}" if given else "one of --{} or --{} is required"
+        raise CliError(rule.format(first, second))
+    return given[0]
+
+
+def _parse_kv_list(text: str, allowed: dict[str, Any], required: tuple[str, ...], what: str) -> dict[str, float]:
+    """Parse 'k=v,k=v' where allowed maps key -> converter and every required key must appear."""
     out: dict[str, float] = {}
     for item in text.split(","):
         item = item.strip()
@@ -88,6 +97,9 @@ def _parse_kv_list(text: str, allowed: dict[str, Any], what: str) -> dict[str, f
             out[key] = allowed[key](value.strip())
         except ValueError:
             raise CliError(f"{what}: bad value for {key!r}: {value.strip()!r}") from None
+    for key in required:
+        if key not in out:
+            raise CliError(f"{what}: missing required key {key!r}")
     return out
 
 
@@ -117,20 +129,19 @@ def _parse_estimators(text: str | None) -> tuple[bool, tuple[EstimatorId, ...]]:
 
 
 def _default_seed(value: int | None) -> int:
-    if value is not None:
-        if not 0 <= value < 2**64:
-            raise CliError(f"--seed must fit in an unsigned 64-bit integer, got {value}")
-        return value
-    env = os.environ.get("ESTLAB_SEED")
-    if env is not None:
+    source = "--seed"
+    if value is None:
+        env = os.environ.get("ESTLAB_SEED")
+        if env is None:
+            return 0
+        source = "ESTLAB_SEED"
         try:
-            seed = int(env)
+            value = int(env)
         except ValueError:
             raise CliError(f"ESTLAB_SEED must be an integer, got {env!r}") from None
-        if not 0 <= seed < 2**64:
-            raise CliError(f"ESTLAB_SEED must fit in an unsigned 64-bit integer, got {seed}")
-        return seed
-    return 0
+    if not 0 <= value < 2**64:
+        raise CliError(f"{source} must fit in an unsigned 64-bit integer, got {value}")
+    return value
 
 
 def _jsonable(value: Any) -> Any:
@@ -165,28 +176,20 @@ _SYNTH_KEYS = {
 
 def _load_params_source(args: argparse.Namespace) -> tuple[PopulationParams, dict[str, Any], str]:
     """Resolve --input vs --moments into parameters plus an input echo."""
-    if args.input is not None and args.moments is not None:
-        raise CliError("give exactly one of --input or --moments")
-    if args.input is not None:
+    if _one_of(args, "input", "moments") == "input":
         pop = load_population(args.input)
-        params = compute_params(pop)
-        return params, {"input": args.input, "N": pop.N}, "closed-form"
-    if args.moments is not None:
-        kv = _parse_kv_list(args.moments, _MOMENT_KEYS, "--moments")
-        for required in ("Ybar", "P", "rho", "Cy", "Cp"):
-            if required not in kv:
-                raise CliError(f"--moments: missing required key {required!r}")
-        params = params_from_moments(
-            Ybar=kv["Ybar"],
-            P=kv["P"],
-            rho_pb=kv["rho"],
-            C_y=kv["Cy"],
-            C_p=kv["Cp"],
-            beta2_phi=kv.get("beta2"),
-            N=int(kv["N"]) if "N" in kv else None,
-        )
-        return params, {"moments": kv}, "given" if "beta2" in kv else "closed-form"
-    raise CliError("one of --input or --moments is required")
+        return compute_params(pop), {"input": args.input, "N": pop.N}, "closed-form"
+    kv = _parse_kv_list(args.moments, _MOMENT_KEYS, ("Ybar", "P", "rho", "Cy", "Cp"), "--moments")
+    params = params_from_moments(
+        Ybar=kv["Ybar"],
+        P=kv["P"],
+        rho_pb=kv["rho"],
+        C_y=kv["Cy"],
+        C_p=kv["Cp"],
+        beta2_phi=kv.get("beta2"),
+        N=int(kv["N"]) if "N" in kv else None,
+    )
+    return params, {"moments": kv}, "given" if "beta2" in kv else "closed-form"
 
 
 def _moment_warnings(params: PopulationParams, beta2_source: str) -> list[str]:
@@ -219,25 +222,18 @@ def _moment_warnings(params: PopulationParams, beta2_source: str) -> list[str]:
 
 
 def _load_population_source(args: argparse.Namespace, seed: int) -> tuple[FinitePopulation, dict[str, Any]]:
-    if args.input is not None and args.synth is not None:
-        raise CliError("give exactly one of --input or --synth")
-    if args.input is not None:
+    if _one_of(args, "input", "synth") == "input":
         pop = load_population(args.input)
         return pop, {"input": args.input, "N": pop.N}
-    if args.synth is not None:
-        kv = _parse_kv_list(args.synth, _SYNTH_KEYS, "--synth")
-        for required in ("N", "P"):
-            if required not in kv:
-                raise CliError(f"--synth: missing required key {required!r}")
-        spec = SyntheticSpec(
-            N=int(kv["N"]),
-            P_target=kv["P"],
-            intercept=kv.get("intercept", 0.0),
-            attribute_effect=kv.get("effect", 1.0),
-            noise_sd=kv.get("noise", 1.0),
-        )
-        return synthesize_population(spec, seed), {"synth": kv, "seed": seed}
-    raise CliError("one of --input or --synth is required")
+    kv = _parse_kv_list(args.synth, _SYNTH_KEYS, ("N", "P"), "--synth")
+    spec = SyntheticSpec(
+        N=int(kv["N"]),
+        P_target=kv["P"],
+        intercept=kv.get("intercept", 0.0),
+        attribute_effect=kv.get("effect", 1.0),
+        noise_sd=kv.get("noise", 1.0),
+    )
+    return synthesize_population(spec, seed), {"synth": kv, "seed": seed}
 
 
 # ---------------------------------------------------------------------------
@@ -295,26 +291,21 @@ def _cmd_pre(args: argparse.Namespace) -> int:
         warnings.append("mean squared errors unavailable: requires both --n and a known N")
     mean_mse = theory.variance_sample_mean(params, n) if with_mse else None
     rows = {"mean": {"estimator": "mean", "pre": 100.0, "rank": None, "mse": mean_mse}}
-    undefined: list[str] = []
     disagreements: list[str] = []
     family_pres: list[float] = []
     for e in EstimatorId:
-        try:
-            pre = theory.pre_vs_mean(params, e, n)
+        pre = mse = None
+        try:  # an undefined form has neither; a zero MSE keeps its value but has no PRE
+            mse = theory.mse_proposed(params, n, e) if with_mse else None
+            pre = theory.pre_vs_mean(params, e)
         except EstlabError as exc:
-            pre = None
-            undefined.append(f"{e.value}: {exc}")
-        try:  # a zero MSE has no PRE, but the MSE itself is defined
-            mse = theory.mse_report(params, n, e).mse if with_mse else None
-        except EstlabError:  # undefined form; already listed in warnings
-            mse = None
+            warnings.append(f"{e.value}: {exc}")
         rows[e.value] = {"estimator": e.value, "pre": pre, "rank": None, "mse": mse}
         if pre is not None and e is not EstimatorId.NG:
             family_pres.append(pre)
             if not theory.efficiency_vs_ng(params, e).threshold_agrees:
                 disagreements.append(e.value)
 
-    warnings.extend(undefined)
     if disagreements:
         warnings.append(
             "correlation-threshold rule disagrees with the direct MSE comparison "
@@ -339,26 +330,21 @@ def _cmd_pre(args: argparse.Namespace) -> int:
 
 
 def _select_sample(args: argparse.Namespace, pop: FinitePopulation, seed: int) -> tuple[SampleData, dict[str, Any]]:
-    if args.sample is not None and args.n is not None:
-        raise CliError("give exactly one of --sample or --n")
-    if args.sample is not None:
-        try:
-            indices = [int(tok) for tok in args.sample.split(",") if tok.strip()]
-        except ValueError:
-            raise CliError(f"--sample: expected comma-separated integers, got {args.sample!r}") from None
-        if len(set(indices)) != len(indices):
-            raise CliError("--sample: indices must be distinct")
-        if any(not 1 <= i <= pop.N for i in indices):
-            raise CliError(f"--sample: indices must lie in 1..{pop.N} (units are 1-based)")
-        if len(indices) < 2:
-            raise CliError("--sample: need at least 2 units")
-        idx = np.array(indices, dtype=np.intp) - 1
-        return SampleData(y=pop.y[idx], phi=pop.phi[idx]), {"sample": indices}
-    if args.n is not None:
+    if _one_of(args, "sample", "n") == "n":
         rng = np.random.Generator(np.random.Philox(key=seed))
-        sample = draw_srswor(pop, args.n, rng)
-        return sample, {"n": args.n, "seed": seed}
-    raise CliError("one of --sample or --n is required")
+        return draw_srswor(pop, args.n, rng), {"n": args.n, "seed": seed}
+    try:
+        indices = [int(tok) for tok in args.sample.split(",") if tok.strip()]
+    except ValueError:
+        raise CliError(f"--sample: expected comma-separated integers, got {args.sample!r}") from None
+    if len(set(indices)) != len(indices):
+        raise CliError("--sample: indices must be distinct")
+    if any(not 1 <= i <= pop.N for i in indices):
+        raise CliError(f"--sample: indices must lie in 1..{pop.N} (units are 1-based)")
+    if len(indices) < 2:
+        raise CliError("--sample: need at least 2 units")
+    idx = np.array(indices, dtype=np.intp) - 1
+    return SampleData(y=pop.y[idx], phi=pop.phi[idx]), {"sample": indices}
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
@@ -413,7 +399,7 @@ def _sim_results(
             theoretical = theory.variance_sample_mean(params, result.n)
         else:
             try:
-                theoretical = theory.mse_report(params, result.n, EstimatorId(row.estimator)).mse
+                theoretical = theory.mse_proposed(params, result.n, EstimatorId(row.estimator))
             except EstlabError as exc:  # undefined form: the row was skipped throughout
                 theoretical = None
                 warnings.append(f"{row.estimator}: {exc}")

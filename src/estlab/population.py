@@ -189,9 +189,6 @@ def load_population(source: str | Path | IO[str] | Iterable[str]) -> FinitePopul
             raise PopulationParseError(f"non-binary attribute value {phi_tok!r}", line=lineno)
         ys.append(y_val)
         phis.append(int(phi_val))
-
-    if len(ys) < 2:
-        raise PopulationParseError(f"population needs at least 2 units, got {len(ys)}")
     return FinitePopulation(y=np.array(ys), phi=np.array(phis))
 
 
@@ -204,7 +201,7 @@ def compute_params(pop: FinitePopulation) -> PopulationParams:
     uses its closed form (1-3PQ)/(PQ).
 
     Raises DegeneratePopulationError when the attribute is constant
-    (P would be 0 or 1) or y is constant (zero variance).
+    (P would be 0 or 1), y is constant (zero variance) or its moments overflow.
     """
     n_units = pop.N
     a = pop.attribute_count
@@ -212,22 +209,27 @@ def compute_params(pop: FinitePopulation) -> PopulationParams:
         raise DegeneratePopulationError(
             f"attribute is constant ({a} of {n_units} units possess it); proportion must lie in (0,1)"
         )
-    ybar = float(pop.y.mean())
     p = a / n_units
     q = (n_units - a) / n_units  # correctly rounded; 1 - p loses digits as p nears 1
-    dev_y = pop.y - ybar
-    s_y2 = float(dev_y @ dev_y) / (n_units - 1)
+    holds = pop.phi == 1
+    try:
+        with np.errstate(over="raise"):
+            ybar = float(pop.y.mean())
+            dev_y = pop.y - ybar
+            s_y2 = float(dev_y @ dev_y) / (n_units - 1)
+            s_yphi = float(dev_y @ (pop.phi - p)) / (n_units - 1)
+            ybar0 = float(pop.y[~holds].mean())
+            dev_e = pop.y - np.where(holds, float(pop.y[holds].mean()), ybar0)
+            s_e2 = float(dev_e @ dev_e) / (n_units - 1)
+    except FloatingPointError:
+        raise DegeneratePopulationError("the moments of y overflow float64; rescale the study values") from None
     if s_y2 == 0.0:
         raise DegeneratePopulationError("study variable is constant; its variance is zero")
     if ybar == 0.0:
         raise DegeneratePopulationError("population mean is zero; C_y and the ratio constants are undefined")
     s_phi2 = n_units * p * q / (n_units - 1)
-    s_yphi = float(dev_y @ (pop.phi - p)) / (n_units - 1)
     s_y = math.sqrt(s_y2)
     s_phi = math.sqrt(s_phi2)
-    holds = pop.phi == 1
-    ybar0 = float(pop.y[~holds].mean())
-    dev_e = pop.y - np.where(holds, float(pop.y[holds].mean()), ybar0)
     return PopulationParams(
         Ybar=ybar,
         P=p,
@@ -240,7 +242,7 @@ def compute_params(pop: FinitePopulation) -> PopulationParams:
         C_p=s_phi / p,
         beta2_phi=_kurtosis_from_pq(p * q),
         Ybar0=ybar0,
-        S_e2=float(dev_e @ dev_e) / (n_units - 1),
+        S_e2=s_e2,
         N=n_units,
     )
 
@@ -262,7 +264,7 @@ def params_from_moments(
     When ``beta2_phi`` is omitted it is filled in from the closed form
     (1-3PQ)/(PQ).  ``N`` may be omitted; operations that need the finite
     population correction will then refuse to run.  Every moment given must
-    be finite.
+    be finite, and moments whose variances overflow or underflow are refused.
     """
     given = {"Ybar": Ybar, "P": P, "rho_pb": rho_pb, "C_y": C_y, "C_p": C_p, "beta2_phi": beta2_phi}
     for name, value in given.items():
@@ -283,19 +285,25 @@ def params_from_moments(
     s_y = C_y * Ybar
     s_phi = C_p * P
     s_yphi = rho_pb * s_y * s_phi
+    s_y2, s_phi2 = s_y * s_y, s_phi * s_phi
+    if not (0.0 < s_y2 < math.inf and 0.0 < s_phi2 < math.inf):
+        raise InvalidMomentsError(f"variances S_y2 = {s_y2:g} and S_phi2 = {s_phi2:g} must be finite and positive")
+    ybar0 = float(Ybar) - P * (s_yphi / s_phi2)
+    if not math.isfinite(ybar0):
+        raise InvalidMomentsError(f"Ybar0 = Ybar - P*S_yphi/S_phi2 = {ybar0:g} must be finite")
     return PopulationParams(
         Ybar=float(Ybar),
         P=float(P),
         Q=1.0 - float(P),
-        S_y2=s_y * s_y,
-        S_phi2=s_phi * s_phi,
+        S_y2=s_y2,
+        S_phi2=s_phi2,
         S_yphi=s_yphi,
         rho_pb=float(rho_pb),
         C_y=float(C_y),
         C_p=float(C_p),
         beta2_phi=float(beta2_phi) if beta2_phi is not None else bernoulli_kurtosis(P),
-        Ybar0=float(Ybar) - P * (s_yphi / (s_phi * s_phi)),
-        S_e2=s_y * s_y * (1.0 - rho_pb * rho_pb),
+        Ybar0=ybar0,
+        S_e2=s_y2 * (1.0 - rho_pb * rho_pb),
         N=int(N) if N is not None else None,
     )
 

@@ -189,20 +189,24 @@ def linearization_coefficients(
     return -(params.B_phi + ratio), 1.0
 
 
-def pre_vs_mean(
-    params: PopulationParams, estimator: EstimatorId, n: int | None = None
-) -> float:
+def pre_vs_mean(params: PopulationParams, estimator: EstimatorId) -> float:
     """Percent relative efficiency 100 * V(ybar) / MSE(estimator).
 
-    The fpc factor cancels, so the result does not depend on n; passing n
-    merely validates it against a known N.
+    The fpc factor cancels, so PRE needs neither n nor N.
     """
-    if n is not None and params.N is not None:
-        _fpc(params, n)
     unit_mse = _unit_mse(params, estimator)
     if unit_mse == 0.0:
         raise UndefinedPreError(f"{estimator.value} has zero mean squared error")
     return 100.0 * params.S_y2 / unit_mse
+
+
+def _comparison(margin: float, threshold_margin: float) -> ComparisonResult:
+    return ComparisonResult(
+        beats=margin >= 0.0,
+        margin=margin,
+        threshold_margin=threshold_margin,
+        threshold_agrees=(margin >= 0.0) == (threshold_margin >= 0.0),
+    )
 
 
 def efficiency_vs_mean(params: PopulationParams, estimator: EstimatorId) -> ComparisonResult:
@@ -216,13 +220,7 @@ def efficiency_vs_mean(params: PopulationParams, estimator: EstimatorId) -> Comp
         raise ValueError("the comparison is defined for the family members t1..t10")
     ratio = ratio_constant(estimator, params)
     margin = params.S_y2 - _unit_mse(params, estimator)
-    threshold_margin = params.rho_pb**2 - (params.S_phi2 / params.S_y2) * ratio * ratio
-    return ComparisonResult(
-        beats=margin >= 0.0,
-        margin=margin,
-        threshold_margin=threshold_margin,
-        threshold_agrees=(margin >= 0.0) == (threshold_margin >= 0.0),
-    )
+    return _comparison(margin, params.rho_pb**2 - (params.S_phi2 / params.S_y2) * ratio * ratio)
 
 
 def efficiency_vs_ng(params: PopulationParams, estimator: EstimatorId) -> ComparisonResult:
@@ -243,12 +241,7 @@ def efficiency_vs_ng(params: PopulationParams, estimator: EstimatorId) -> Compar
     threshold_margin = params.rho_pb**2 - (params.S_phi2 / params.S_y2) * (
         ratio * ratio - r1 * r1 + 2.0 * r1 * (params.rho_pb * params.C_y / params.C_p)
     )
-    return ComparisonResult(
-        beats=margin >= 0.0,
-        margin=margin,
-        threshold_margin=threshold_margin,
-        threshold_agrees=(margin >= 0.0) == (threshold_margin >= 0.0),
-    )
+    return _comparison(margin, threshold_margin)
 
 
 def mse_report(params: PopulationParams, n: int, estimator: EstimatorId) -> MseReport:
@@ -261,14 +254,14 @@ def mse_report(params: PopulationParams, n: int, estimator: EstimatorId) -> MseR
     return MseReport(estimator=estimator, mse=mse, n=n, pre_vs_mean=pre)
 
 
-def pre_table(params: PopulationParams, n: int | None = None) -> tuple[PreRow, ...]:
+def pre_table(params: PopulationParams) -> tuple[PreRow, ...]:
     """PRE of every estimator against the sample mean, in fixed display order.
 
     The first row is the sample mean itself (100 by definition), then the
     plain ratio estimator, then t1..t10.  Rows are never sorted here; see
     :func:`rank_pre_rows` for the ranking view.
     """
-    rows = (PreRow(e.value, pre_vs_mean(params, e, n)) for e in EstimatorId)
+    rows = (PreRow(e.value, pre_vs_mean(params, e)) for e in EstimatorId)
     return (PreRow("mean", 100.0), *rows)
 
 

@@ -172,8 +172,10 @@ class TestParams:
         assert "exactly one" in err
 
     def test_neither_source_rejected(self, capsys):
-        code, _, err = run(capsys, "params")
+        code, out, err = run(capsys, "params")
         assert code == 2
+        assert out == ""
+        assert err == "error: one of --input or --moments is required\n"
 
     def test_unknown_moment_key_rejected(self, capsys):
         code, _, err = run(capsys, "params", "--moments", "Ybar=1,P=0.5,rho=0,Cy=1,Cp=1,bogus=3")
@@ -254,6 +256,12 @@ class TestPre:
     def test_uncorrelated_attribute_warns(self, capsys):
         envelope = run_json(capsys, "pre", "--moments", "Ybar=3,P=0.4,rho=0,Cy=0.7,Cp=0.8,N=50")
         assert any("no family estimator improves" in w for w in envelope["warnings"])
+        assert envelope["warnings"][1:] == [
+            "mean squared errors unavailable: requires both --n and a known N",
+            "t8: m1 resolved to zero; the family requires m1 != 0",
+            "t10: m1 resolved to zero; the family requires m1 != 0",
+            "no family estimator improves on the sample mean for these parameters",
+        ]
         table = {row["estimator"]: row for row in envelope["results"]["table"]}
         assert table["t8"]["pre"] is None  # m1 = rho = 0 has no defined form
         defined = [row["pre"] for row in envelope["results"]["table"] if row["pre"] is not None]
@@ -275,6 +283,16 @@ class TestPre:
         assert code == 2
         assert out == ""
         assert "beta2_phi must be finite" in err
+
+
+    def test_zero_denominator_form_has_neither_pre_nor_mse(self, capsys):
+        # rho = -P gives t4 (m1 = 1, m2 = rho) the form denominator m1*P + m2 = 0.
+        moments = "Ybar=3,P=0.25,rho=-0.25,Cy=0.7,Cp=1.7,N=40"
+        envelope = run_json(capsys, "pre", "--moments", moments, "--n", "5")
+        table = {row["estimator"]: row for row in envelope["results"]["table"]}
+        assert (table["t4"]["pre"], table["t4"]["mse"], table["t4"]["rank"]) == (None, None, None)
+        assert envelope["warnings"][1:] == ["t4: zero denominator: m1*P + m2 = 0 for form (1.0, -0.25)"]
+        assert all(row["mse"] > 0 for label, row in table.items() if label != "t4")
 
 
 class TestEstimate:
@@ -406,6 +424,7 @@ print(sorted({{"concurrent.futures", "logging"}} & set(sys.modules)))
             "--n", "2", "--replicates", "10",
         )
         assert code == 2
+        assert err == "error: give exactly one of --input or --synth\n"
 
 
 class TestEnumerate:
@@ -483,6 +502,101 @@ class TestUndefinedForms:
         code, _, err = run(capsys, *command, "--policy", "error")
         assert code == 2
         assert "m1 resolved to zero" in err
+
+
+class TestInputChecks:
+    """Every CLI input check exits 2 with its message alone on stderr."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("params", "--moments", "Ybar"), "--moments: expected key=value, got 'Ybar'"),
+            (("params", "--moments", "Ybar=1,Ybar=2"), "--moments: duplicate key 'Ybar'"),
+            (("params", "--moments", "Ybar=1,P=0.5"), "--moments: missing required key 'rho'"),
+            (("pre",), "one of --input or --moments is required"),
+            (("pre", "--input", "pop4", "--moments", VILLAGE_MOMENTS), "give exactly one of --input or --moments"),
+            (("simulate", "--synth", "N=10", "--n", "2", "--replicates", "5"), "--synth: missing required key 'P'"),
+            (("simulate", "--n", "2", "--replicates", "5"), "one of --input or --synth is required"),
+            (("estimate", "--input", "pop4", "--sample", "1,2", "--n", "2"), "give exactly one of --sample or --n"),
+            (("estimate", "--input", "pop4"), "one of --sample or --n is required"),
+            (
+                ("estimate", "--input", "pop4", "--sample", "1,x"),
+                "--sample: expected comma-separated integers, got '1,x'",
+            ),
+            (("estimate", "--input", "pop4", "--sample", "1"), "--sample: need at least 2 units"),
+            (("estimate", "--input", "pop4", "--sample", "1,3", "--estimators", ",,"), "estimator list is empty"),
+            (
+                ("estimate", "--input", "pop4", "--n", "2", "--seed", str(2**64)),
+                f"--seed must fit in an unsigned 64-bit integer, got {2**64}",
+            ),
+            (
+                ("estimate", "--input", "pop4", "--n", "2", "--seed", "-1"),
+                "--seed must fit in an unsigned 64-bit integer, got -1",
+            ),
+            (
+                ("simulate", "--synth", "N=10,P=0.5", "--n", "2", "--replicates", "5", "--seed", "-1"),
+                "--seed must fit in an unsigned 64-bit integer, got -1",
+            ),
+        ],
+    )
+    def test_rejected_with_message(self, capsys, request, monkeypatch, argv, message):
+        monkeypatch.delenv("ESTLAB_SEED", raising=False)
+        argv = [request.getfixturevalue(a) if a == "pop4" else a for a in argv]
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "env, message",
+        [
+            ("abc", "ESTLAB_SEED must be an integer, got 'abc'"),
+            (str(2**64), f"ESTLAB_SEED must fit in an unsigned 64-bit integer, got {2**64}"),
+            ("-1", "ESTLAB_SEED must fit in an unsigned 64-bit integer, got -1"),
+        ],
+    )
+    def test_bad_env_seed_rejected(self, capsys, monkeypatch, pop4, env, message):
+        monkeypatch.setenv("ESTLAB_SEED", env)
+        assert run(capsys, "estimate", "--input", pop4, "--n", "2") == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", [("params",), ("pre", "--n", "3")])
+    @pytest.mark.parametrize(
+        "moments",
+        [
+            "Ybar=3,P=0.5,rho=0.1,Cy=0.7,Cp=1e-200",
+            "Ybar=3,P=0.5,rho=0.1,Cy=1e-200,Cp=1",
+            "Ybar=1e300,P=0.5,rho=0.1,Cy=1e10,Cp=1,N=10",
+        ],
+    )
+    def test_overflowing_moments_refused(self, capsys, command, moments):
+        code, out, err = run(capsys, command[0], "--moments", moments, *command[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be finite and positive" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("params",),
+            ("pre", "--n", "2"),
+            ("estimate", "--n", "2"),
+            ("simulate", "--n", "2", "--replicates", "10"),
+            ("enumerate", "--n", "2"),
+        ],
+    )
+    def test_overflowing_population_refused(self, capsys, tmp_path, argv):
+        path = tmp_path / "huge.csv"
+        path.write_text("y,phi\n1e200,1\n3e200,0\n2e200,1\n5e200,0\n", encoding="utf-8")
+        code, out, err = run(capsys, argv[0], "--input", str(path), *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == "error: the moments of y overflow float64; rescale the study values\n"
+
+    def test_empty_items_are_skipped(self, capsys, pop4):
+        spaced = VILLAGE_MOMENTS.replace(",P=", ",,P=")
+        assert run_json(capsys, "params", "--moments", spaced)["results"] == run_json(
+            capsys, "params", "--moments", VILLAGE_MOMENTS
+        )["results"]
+        argv = ("estimate", "--input", pop4, "--sample", "1,3")
+        assert run_json(capsys, *argv, "--estimators", "mean,,ng")["results"] == run_json(
+            capsys, *argv, "--estimators", "mean,ng"
+        )["results"]
 
 
 class TestParsing:

@@ -52,8 +52,9 @@ class TestLoadPopulation:
             load_population(io.StringIO("y,phi\n1,2\n2,1"))
 
     def test_too_few_units(self):
-        with pytest.raises(PopulationParseError, match="at least 2"):
-            load_population(io.StringIO("y,phi\n1,0"))
+        for text, count in (("y,phi\n1,0", 1), ("y,phi\n", 0)):
+            with pytest.raises(PopulationParseError, match=f"^population needs at least 2 units, got {count}$"):
+                load_population(io.StringIO(text))
 
     def test_bad_header(self):
         with pytest.raises(PopulationParseError, match="header"):
@@ -66,6 +67,17 @@ class TestLoadPopulation:
     def test_non_numeric_study_value(self):
         with pytest.raises(PopulationParseError, match="line 2"):
             load_population(io.StringIO("y,phi\nx,0\n2,1"))
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("nan,1", "line 2: study value 'nan' is not finite"),
+            ("1,x", "line 2: attribute value 'x' is not a number"),
+        ],
+    )
+    def test_bad_field_names_line_and_value(self, row, message):
+        with pytest.raises(PopulationParseError, match=f"^{message}$"):
+            load_population(io.StringIO(f"y,phi\n{row}\n2,0"))
 
     def test_empty_input(self):
         with pytest.raises(PopulationParseError):
@@ -115,6 +127,13 @@ class TestComputeParams:
     def test_constant_attribute_rejected(self):
         pop = FinitePopulation(y=np.array([1.0, 2.0, 3.0]), phi=np.array([1, 1, 1]))
         with pytest.raises(DegeneratePopulationError):
+            compute_params(pop)
+
+    def test_overflowing_study_moments_rejected(self):
+        # Deviations near 1e200 square past the float64 range; the refusal
+        # must not leak numpy's overflow warning.
+        pop = load_population(io.StringIO("y,phi\n1e200,1\n3e200,0\n2e200,1\n5e200,0\n"))
+        with pytest.raises(DegeneratePopulationError, match="^the moments of y overflow float64"):
             compute_params(pop)
 
     @given(
@@ -210,6 +229,27 @@ class TestParamsFromMoments:
     def test_out_of_range_rejected(self, kwargs):
         with pytest.raises(InvalidMomentsError):
             params_from_moments(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(Ybar=3, P=0.5, rho_pb=0.1, C_y=0.7, C_p=1e-200), "S_phi2 = 0 must be"),
+            (dict(Ybar=3, P=0.5, rho_pb=0.1, C_y=1e-200, C_p=1), "S_y2 = 0 and"),
+            (dict(Ybar=1e300, P=0.5, rho_pb=0.1, C_y=1e10, C_p=1, N=10), "S_y2 = inf and"),
+            (dict(Ybar=1, P=0.5, rho_pb=0.5, C_y=1e150, C_p=1e-161), "Ybar0 = .* = -inf must be finite"),
+        ],
+    )
+    def test_overflowing_or_underflowing_variances_rejected(self, kwargs, message):
+        with pytest.raises(InvalidMomentsError, match=message):
+            params_from_moments(**kwargs)
+
+    def test_population_size_below_two_rejected(self):
+        with pytest.raises(InvalidMomentsError, match="^N must be at least 2, got 1$"):
+            params_from_moments(3.36, 0.1236, 0.766, 0.604, 2.19, N=1)
+
+    def test_bernoulli_kurtosis_needs_interior_proportion(self):
+        with pytest.raises(InvalidMomentsError, match=r"^attribute proportion must lie strictly in \(0,1\), got 0.0$"):
+            bernoulli_kurtosis(0.0)
 
     @pytest.mark.parametrize(
         "field, value",

@@ -240,6 +240,11 @@ class TestEnumerateFourUnits:
             variance_sample_mean(params, 2), rel=1e-14
         )
 
+    def test_unknown_row_label_raises_key_error(self):
+        result = enumerate_all_samples(FOUR_UNITS, 2, [EstimatorId.NG])
+        with pytest.raises(KeyError, match="no row for estimator 'nope'"):
+            result.row("nope")
+
 
 class TestEnumerateGeneral:
     def test_matches_scalar_brute_force(self):
@@ -822,6 +827,14 @@ class TestSynthesize:
             SyntheticSpec(N=10, P_target=0.5, noise_sd=-1.0)
         with pytest.raises(InvalidSyntheticSpecError):
             SyntheticSpec(N=1, P_target=0.5)
+        with pytest.raises(InvalidSyntheticSpecError, match=r"^P_target must lie in \(0,1\), got 1.5$"):
+            SyntheticSpec(N=10, P_target=1.5)
+        with pytest.raises(InvalidSyntheticSpecError, match="^intercept and attribute_effect must be finite$"):
+            SyntheticSpec(N=10, P_target=0.5, intercept=math.inf)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidSyntheticSpecError, match="^seed must fit in an unsigned 64-bit integer, got -1$"):
+            synthesize_population(SyntheticSpec(N=10, P_target=0.5), seed=-1)
 
 
 class TestSimConfig:

@@ -171,6 +171,13 @@ class TestMse:
         assert constants == sorted(constants)
         assert values == sorted(values)
 
+    def test_zero_form_denominator_has_no_mse(self):
+        # rho = -P makes t4's denominator m1*P + m2 = P + rho vanish.
+        params = params_from_moments(3.0, 0.25, -0.25, 0.7, 1.7, N=40)
+        with pytest.raises(UndefinedConstantError) as excinfo:
+            mse_proposed(params, 5, EstimatorId.T4)
+        assert str(excinfo.value) == "zero denominator: m1*P + m2 = 0 for form (1.0, -0.25)"
+
 
 class TestLinearizationIdentity:
     def test_t1_identity(self):
@@ -238,10 +245,6 @@ class TestPre:
                 FROZEN_PRE[estimator.value], abs=5e-4
             )
 
-    def test_sample_size_cancels(self):
-        for n in (2, 44, 88):
-            assert pre_vs_mean(VILLAGES, EstimatorId.T2, n) == pre_vs_mean(VILLAGES, EstimatorId.T2)
-
     def test_works_without_population_size(self):
         params = params_from_moments(3.36, 0.1236, 0.766, 0.604, 2.19, 6.23181)
         assert params.N is None
@@ -252,7 +255,7 @@ class TestPre:
         v = variance_sample_mean(VILLAGES, n)
         for estimator in FAMILY:
             expected = 100.0 * v / mse_proposed(VILLAGES, n, estimator)
-            assert pre_vs_mean(VILLAGES, estimator, n) == pytest.approx(expected, rel=1e-12)
+            assert pre_vs_mean(VILLAGES, estimator) == pytest.approx(expected, rel=1e-12)
 
 
 class TestPreTable:
@@ -344,6 +347,11 @@ class TestEfficiencyPredicates:
             r = ratio_constant(estimator, params)
             result = efficiency_vs_ng(params, estimator)
             assert result.margin == pytest.approx((r1 * r1 - r * r) * params.S_phi2, rel=1e-10)
+
+    @pytest.mark.parametrize("compare", [efficiency_vs_mean, efficiency_vs_ng])
+    def test_plain_ratio_estimator_is_not_a_family_member(self, compare):
+        with pytest.raises(ValueError, match="defined for the family members t1..t10"):
+            compare(VILLAGES, EstimatorId.NG)
 
     def test_report_bundles_both_comparisons(self):
         vs_mean = efficiency_vs_mean(VILLAGES, EstimatorId.T2)
