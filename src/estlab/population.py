@@ -23,6 +23,7 @@ the sample mean, live in :mod:`estlab.theory`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable
@@ -201,7 +202,9 @@ def compute_params(pop: FinitePopulation) -> PopulationParams:
     uses its closed form (1-3PQ)/(PQ).
 
     Raises DegeneratePopulationError when the attribute is constant
-    (P would be 0 or 1), y is constant (zero variance) or its moments overflow.
+    (P would be 0 or 1), y is constant (zero variance), its moments overflow,
+    its variance is below the smallest normal float64 (where it would keep
+    too few digits), or its mean is so near zero that C_y is not finite.
     """
     n_units = pop.N
     a = pop.attribute_count
@@ -223,12 +226,19 @@ def compute_params(pop: FinitePopulation) -> PopulationParams:
             s_e2 = float(dev_e @ dev_e) / (n_units - 1)
     except FloatingPointError:
         raise DegeneratePopulationError("the moments of y overflow float64; rescale the study values") from None
-    if s_y2 == 0.0:
+    if pop.y.min() == pop.y.max():  # the rounded mean can leave s_y2 a residue
         raise DegeneratePopulationError("study variable is constant; its variance is zero")
-    if ybar == 0.0:
-        raise DegeneratePopulationError("population mean is zero; C_y and the ratio constants are undefined")
-    s_phi2 = n_units * p * q / (n_units - 1)
+    if s_y2 < sys.float_info.min:
+        raise DegeneratePopulationError(
+            f"the variance of y, S_y2 = {s_y2:g}, is below the smallest normal float64; rescale the study values"
+        )
     s_y = math.sqrt(s_y2)
+    c_y = s_y / ybar if ybar else math.inf
+    if not math.isfinite(c_y):
+        raise DegeneratePopulationError(
+            f"population mean is zero or too near zero (Ybar = {ybar:g}); C_y = S_y/Ybar is not finite"
+        )
+    s_phi2 = n_units * p * q / (n_units - 1)
     s_phi = math.sqrt(s_phi2)
     return PopulationParams(
         Ybar=ybar,
@@ -238,7 +248,7 @@ def compute_params(pop: FinitePopulation) -> PopulationParams:
         S_phi2=s_phi2,
         S_yphi=s_yphi,
         rho_pb=s_yphi / (s_y * s_phi),
-        C_y=s_y / ybar,
+        C_y=c_y,
         C_p=s_phi / p,
         beta2_phi=_kurtosis_from_pq(p * q),
         Ybar0=ybar0,
@@ -264,7 +274,8 @@ def params_from_moments(
     When ``beta2_phi`` is omitted it is filled in from the closed form
     (1-3PQ)/(PQ).  ``N`` may be omitted; operations that need the finite
     population correction will then refuse to run.  Every moment given must
-    be finite, and moments whose variances overflow or underflow are refused.
+    be finite, and moments whose variances overflow, or fall below the
+    smallest normal float64, are refused.
     """
     given = {"Ybar": Ybar, "P": P, "rho_pb": rho_pb, "C_y": C_y, "C_p": C_p, "beta2_phi": beta2_phi}
     for name, value in given.items():
@@ -286,8 +297,11 @@ def params_from_moments(
     s_phi = C_p * P
     s_yphi = rho_pb * s_y * s_phi
     s_y2, s_phi2 = s_y * s_y, s_phi * s_phi
-    if not (0.0 < s_y2 < math.inf and 0.0 < s_phi2 < math.inf):
-        raise InvalidMomentsError(f"variances S_y2 = {s_y2:g} and S_phi2 = {s_phi2:g} must be finite and positive")
+    if not (sys.float_info.min <= s_y2 < math.inf and sys.float_info.min <= s_phi2 < math.inf):
+        raise InvalidMomentsError(
+            f"variances S_y2 = {s_y2:g} and S_phi2 = {s_phi2:g} must be finite and positive, and not below"
+            f" the smallest normal float64 ({sys.float_info.min:g}); rescale the study values (Ybar)"
+        )
     ybar0 = float(Ybar) - P * (s_yphi / s_phi2)
     if not math.isfinite(ybar0):
         raise InvalidMomentsError(f"Ybar0 = Ybar - P*S_yphi/S_phi2 = {ybar0:g} must be finite")

@@ -9,29 +9,31 @@ design expectations (over the non-degenerate samples); Monte Carlo
 replicates independent draws.
 
 Every estimator reads a sample only through three sums: the attribute
-count ``a``, ``sum y`` and ``sum y*phi``, with y centred at the population
-mean.  On a 0/1 attribute the sample regression slope is the difference of
-group means, ``b_phi = ybar1 - ybar0``, so these sums determine every
-estimator.  Each ratio-type row is resolved once to its (m1, m2) and
-whether it uses the slope; the plain ratio estimator (NG) is t1's (1, 0)
-without it.  At a fixed ``a`` every row is a factor ``K(a)`` times
-``Ybar + v``, where the centred numerator v is the slope-adjusted sample
-mean minus ``Ybar`` for the family members, and the plain one, u, for NG.
-The sample mean is row 0: factor 1 on u, defined at every a.  The factor
-tables come from :func:`~estlab.estimators.family_estimate` at a = 0..n,
-as the scalar estimators' values do, and one function, ``_row_plan``,
-builds every row's.  So both modes reduce the samples to the count, mean
-and sum of squared deviations of the two numerators at each ``a``, and one
-function evaluates all rows at once on ``(rows, n+1)`` tables; the
-per-sample work does not depend on the number of rows.  The two modes
-differ only in how they build those per-``a`` tables.
-Monte Carlo gathers the sums of each drawn sample from its unit indices
-and takes the tables over chunks of samples.  Enumeration does no work per
-n-subset: the subsets holding ``a`` holders are the pairs of an a-subset of
-the holders and an (n-a)-subset of the non-holders, so its tables follow
-exactly from each group's closed-form moments: over its k-subsets, the
-count C(G, k) and the mean and spread of their sums.  Both modes turn the
-per-row sums into rows through one summary function.
+count ``a`` and the group sums ``S1`` and ``S0`` of y over the sample's
+holders and non-holders, with y centred at the population mean.  On a 0/1
+attribute the sample regression slope is the difference of group means,
+``b_phi = ybar1 - ybar0``, so these sums determine every estimator.  Each
+ratio-type row is resolved once to its (m1, m2) and whether it uses the
+slope; the plain ratio estimator (NG) is t1's (1, 0) without it.  At a
+fixed ``a`` every row is a factor ``K(a)`` times ``Ybar + v``, where the
+centred numerator v is x, the slope-adjusted sample mean minus ``Ybar``,
+for the family members, and u, the plain one, for NG.  The sample mean is
+row 0: factor 1 on u, defined at every a.  At a fixed a both numerators
+are linear in the group sums, ``coef[j, 0, a]*S1 + coef[j, 1, a]*S0``.
+One function, ``_row_plan``, builds that coefficient table and the rows'
+factor tables, these from :func:`~estlab.estimators.family_estimate` at
+a = 0..n, as the scalar estimators' values are.  So both modes reduce the
+samples to the count, mean and sum of squared deviations of the two
+numerators at each ``a``, and one function evaluates all rows at once on
+``(rows, n+1)`` tables; the per-sample work does not depend on the number
+of rows.  The two modes differ only in how they build those per-``a``
+tables.  Monte Carlo gathers the sums of each drawn sample from its unit
+indices and takes the tables over chunks of samples.  Enumeration does no
+work per n-subset: the subsets holding ``a`` holders are the pairs of an
+a-subset of the holders and an (n-a)-subset of the non-holders, so its
+tables follow exactly from each group's closed-form moments: over its
+k-subsets, the count C(G, k) and the mean and spread of their sums.  Both
+modes turn the per-row sums into rows through one summary function.
 
 Degenerate samples and the skip policy
 --------------------------------------
@@ -267,17 +269,18 @@ def draw_srswor(pop: FinitePopulation, n: int, rng: np.random.Generator) -> Samp
 
 
 def _unit_columns(pop: FinitePopulation) -> tuple[float, np.ndarray]:
-    """The population mean and the (3, N) unit columns ``phi``, ``y - Ybar``
-    and ``(y - Ybar)*phi``, whose per-sample sums feed the kernel."""
+    """The population mean and the (3, N) unit columns ``phi``,
+    ``(y - Ybar)*phi`` and ``(y - Ybar)*(1 - phi)``, whose sums over a
+    sample are its attribute count a and its group sums S1 and S0."""
     true_mean = float(pop.y.mean())
     yc = pop.y - true_mean  # centred for stable sums
-    return true_mean, np.stack([pop.phi, yc, yc * pop.phi])
+    return true_mean, np.stack([pop.phi, yc * pop.phi, yc * (1 - pop.phi)])
 
 
 def _row_plan(
     pop: FinitePopulation, n: int, estimators: Iterable[EstimatorId] | None, policy: DegeneratePolicy
 ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Resolve the rows once to (labels, numerator, defined, factor, weights).
+    """Resolve the rows once to (labels, numerator, defined, factor, coef).
 
     Row 0 is the sample mean: factor 1 on u, defined at every a.  Then one
     row per requested estimator (all when ``estimators`` is None), in
@@ -288,8 +291,11 @@ def _row_plan(
     holding a = 0..n attribute units: the attribute is not constant and
     ``m1*(a/n) + m2`` is nonzero.  ``factor[r, a]`` is the row's estimate
     over its numerator there, ``family_estimate(1, a/n, P, 0, m1, m2)``,
-    and 0 where the row is not defined.  ``weights`` are the slope weights
-    of :func:`_slope_weights`.  A form whose m1 resolves to zero raises
+    and 0 where the row is not defined.  Numerator j (0: u, 1: x) of a
+    sample is ``coef[j, 0, a]*S1 + coef[j, 1, a]*S0`` in its group sums: u
+    is ``(S1 + S0)/n``, and x adds ``(P - a/n)*(S1/a - S0/(n - a))``, the
+    slope term, except where a is 0 or n, so x's coefficients equal u's
+    there and where ``a/n == P``.  A form whose m1 resolves to zero raises
     UndefinedConstantError under ``error``; under ``skip`` it becomes
     (0, 0), which is defined nowhere.  The population parameters are
     computed only when some ratio-type row is requested.
@@ -300,10 +306,11 @@ def _row_plan(
     p = counts / n  # the kernel's a / n, so the denominators round alike
     interior = (counts > 0) & (counts < n)
     labels, numerator, defined, factor = ["mean"], [0], [np.ones(n + 1, dtype=bool)], [np.ones(n + 1)]
-    weights = np.zeros((2, n + 1))
+    coef = np.full((2, 2, n + 1), 1.0 / n)
     if rows:
         params = compute_params(pop)
-        weights = _slope_weights(params.P, n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coef[1] += np.where(interior, (params.P - p) / np.stack([counts, counts - n]), 0.0)
     for e in rows:
         try:
             m1, m2, slope = _row_form(e, params)
@@ -318,7 +325,7 @@ def _row_plan(
         numerator.append(int(slope))
         defined.append(ok)
         factor.append(np.where(ok, k, 0.0))
-    return labels, np.array(numerator), np.array(defined), np.array(factor), weights
+    return labels, np.array(numerator), np.array(defined), np.array(factor), coef
 
 
 def _undefined_reason(labels: list[str], defined: np.ndarray, n: int, a: int) -> str:
@@ -358,17 +365,6 @@ class _ByCount:
         mean = np.divide(self.sums(v), self.count, out=np.zeros(self.count.size), where=self.count > 0)
         r = v - mean[self.a]
         return mean, self.sums(r * r)
-
-
-def _slope_weights(P: float, n: int) -> np.ndarray:
-    """Per count a = 0..n, the (2, n+1) weights (w1, w0) that give the
-    slope-adjusted numerator ``x = u + w1[a]*sum_ycphi - w0[a]*(sum_yc -
-    sum_ycphi)``, which is ``u + (P - a/n)*(ybar1 - ybar0)`` with y
-    centred; 0 where a is 0 or n."""
-    counts = np.arange(n + 1)
-    interior = (counts > 0) & (counts < n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(interior, (P - counts / n) / np.stack([counts, n - counts]), 0.0)
 
 
 def _row_sums(
@@ -432,22 +428,22 @@ def _run_batches(
     """Evaluate the rows of ``plan`` (:func:`_row_plan`) on Monte Carlo
     chunks.
 
-    ``batches`` yields (start_index, a, sum_yc, sum_ycphi) in sample order:
-    per sample, the attribute count and the sums of ``y - true_mean`` and
-    ``(y - true_mean)*phi``.
+    ``batches`` yields (start_index, a, S1, S0) in sample order: per
+    sample, the attribute count and the sums of ``y - true_mean`` over its
+    holders and over its non-holders.
 
-    Each chunk is reduced to two centred numerators per sample: ``u``, the
-    sample mean minus ``true_mean``, and ``x = u + (P - a/n)*b_phi``, with
-    b_phi the difference of group means (taken as 0 where a is 0 or n).
-    The sample mean and NG read u, every slope row x, so every row's sums
-    follow from the count, the mean and the sum of squared deviations of u
-    and x at each a = 0..n (:func:`_row_sums`): per-sample work does not
-    grow with the number of rows.
+    Each chunk is reduced to the centred numerators that the plan's rows
+    read, u and, when some row uses the slope, x, each formed per sample
+    from the plan's coefficients at its a.  So every row's sums follow
+    from the count, the mean and the sum of squared deviations of u and x
+    at each a = 0..n (:func:`_row_sums`): per-sample work does not grow
+    with the number of rows.
     """
-    labels, numerator, defined, _, (w1, w0) = plan
+    labels, numerator, defined, _, coef = plan
     evaluable = defined.all(axis=0)
+    read = set(numerator.tolist())  # np.unique would load numpy.ma, ~1.5 MB
     chunks = []
-    for start, a, sum_yc, sum_ycphi in batches:
+    for start, a, s1, s0 in batches:
         a_int = a.astype(np.intp)
         groups = _ByCount(a_int, n)
         if policy == "error" and groups.count[~evaluable].any():
@@ -455,12 +451,9 @@ def _run_batches(
             reason = _undefined_reason(labels, defined, n, int(a_int[first]))
             raise DegenerateSampleError(reason, replicate=start + first)
 
-        u = sum_yc / n
         mean, m2 = np.zeros((2, n + 1)), np.zeros((2, n + 1))
-        mean[0], m2[0] = groups.moments(u)
-        if numerator.any():
-            x = u + w1[a_int] * sum_ycphi - w0[a_int] * (sum_yc - sum_ycphi)
-            mean[1], m2[1] = groups.moments(x)
+        for j in read:
+            mean[j], m2[j] = groups.moments(coef[j, 0, a_int] * s1 + coef[j, 1, a_int] * s0)
         chunks.append(_row_sums(plan, true_mean, groups.count, mean, m2))
     return _summarize(labels, chunks, n, total, true_mean, "monte_carlo")
 
@@ -515,7 +508,8 @@ def enumerate_all_samples(
     No subset is listed.  The n-subsets holding a attribute units are the
     pairs of an a-subset of the N1 holders and an (n-a)-subset of the N0
     non-holders, and both numerators are ``alpha*S1 + beta*S0`` in the two
-    group sums.  So at each a a numerator's mean is
+    group sums, with alpha and beta the plan's coefficients.  So at each a
+    a numerator's mean is
     ``alpha*mean1 + beta*mean0`` and its sum of squared deviations
     ``C0*alpha**2*M2_1 + C1*beta**2*M2_0``, with C1 = C(N1, a) and
     C0 = C(N0, n-a): the cross term of a sum over a product set is zero.
@@ -534,9 +528,8 @@ def enumerate_all_samples(
             f"C({pop.N},{n}) = {total} subsets exceeds the guard of {ENUMERATION_GUARD}"
         )
     plan = _row_plan(pop, n, estimators, degenerate_policy)
-    labels, _, defined, _, (w1, w0) = plan
-    true_mean = float(pop.y.mean())
-    yc = pop.y - true_mean  # centred for stable sums
+    labels, _, defined, _, coef = plan
+    true_mean, cols = _unit_columns(pop)
     holds = pop.phi == 1
     N1 = int(holds.sum())
     N0 = pop.N - N1
@@ -544,8 +537,8 @@ def enumerate_all_samples(
     # A count a that no n-subset holds asks each group for one unit more
     # than it has, where C(G, k) is 0, so no group count exceeds C(N, n).
     held = (counts <= N1) & (n - counts <= N0)
-    c1, mean1, m2_1 = _subset_sum_moments(yc[holds], np.where(held, counts, N1 + 1))
-    c0, mean0, m2_0 = _subset_sum_moments(yc[~holds], np.where(held, n - counts, N0 + 1))
+    c1, mean1, m2_1 = _subset_sum_moments(cols[1, holds], np.where(held, counts, N1 + 1))
+    c0, mean0, m2_0 = _subset_sum_moments(cols[2, ~holds], np.where(held, n - counts, N0 + 1))
     count = c1 * c0  # exact: at most the guard
     bad = [a for a in range(n + 1) if count[a] and not defined[:, a].all()]
     if degenerate_policy == "error" and bad:
@@ -555,10 +548,7 @@ def enumerate_all_samples(
         rank, a = min((_subset_rank(pop.N, sorted(holders[:a] + others[: n - a])), a) for a in bad)
         raise DegenerateSampleError(_undefined_reason(labels, defined, n, a), replicate=rank)
 
-    # The numerators u = (S1 + S0)/n and x = u + w1*S1 - w0*S0.
-    zero = np.zeros(n + 1)
-    alpha = 1.0 / n + np.stack([zero, w1])
-    beta = 1.0 / n - np.stack([zero, w0])
+    alpha, beta = coef[:, 0], coef[:, 1]
     mean = alpha * mean1 + beta * mean0
     m2 = c0 * alpha * alpha * m2_1 + c1 * beta * beta * m2_0
     return _summarize(labels, [_row_sums(plan, true_mean, count, mean, m2)], n, total, true_mean, "enumerate")

@@ -563,6 +563,7 @@ class TestInputChecks:
             "Ybar=3,P=0.5,rho=0.1,Cy=0.7,Cp=1e-200",
             "Ybar=3,P=0.5,rho=0.1,Cy=1e-200,Cp=1",
             "Ybar=1e300,P=0.5,rho=0.1,Cy=1e10,Cp=1,N=10",
+            "Ybar=1,P=0.5,rho=0.1,Cy=1e-160,Cp=1,N=10",
         ],
     )
     def test_overflowing_moments_refused(self, capsys, command, moments):
@@ -587,6 +588,24 @@ class TestInputChecks:
         code, out, err = run(capsys, argv[0], "--input", str(path), *argv[1:])
         assert (code, out) == (2, "")
         assert err == "error: the moments of y overflow float64; rescale the study values\n"
+
+    @pytest.mark.parametrize("command", [("params",), ("pre", "--n", "2"), ("simulate", "--n", "2", "--replicates", "10")])
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("1e10,1\n-1e10,0\n4e-300,1\n0,0", "population mean is zero or too near zero (Ybar = 1e-300)"),
+            ("1e-160,1\n3e-160,0\n2e-160,1\n5e-160,0", "the variance of y, S_y2 = 2.91696e-320, is below"),
+            ("1e-170,1\n3e-170,0\n2e-170,1\n5e-170,0", "the variance of y, S_y2 = 0, is below"),
+            ("0.1,1\n0.1,0\n0.1,1", "study variable is constant"),
+        ],
+        ids=["tiny-mean", "subnormal-variance", "underflowing-variance", "constant"],
+    )
+    def test_unusable_population_refused(self, capsys, tmp_path, command, rows, message):
+        path = tmp_path / "pop.csv"
+        path.write_text(f"y,phi\n{rows}\n", encoding="utf-8")
+        code, out, err = run(capsys, command[0], "--input", str(path), *command[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
     def test_empty_items_are_skipped(self, capsys, pop4):
         spaced = VILLAGE_MOMENTS.replace(",P=", ",,P=")

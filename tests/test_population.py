@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from estlab import (
@@ -124,6 +124,54 @@ class TestComputeParams:
         with pytest.raises(DegeneratePopulationError, match="constant"):
             compute_params(pop)
 
+    def test_constant_y_with_inexact_mean_rejected(self):
+        # The mean of three 0.1s rounds above 0.1, so the deviations do not
+        # vanish and S_y2 would be a residue of about 3e-34.
+        pop = FinitePopulation(y=np.array([0.1, 0.1, 0.1]), phi=np.array([0, 1, 1]))
+        with pytest.raises(DegeneratePopulationError, match="^study variable is constant"):
+            compute_params(pop)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-170])
+    def test_subnormal_study_variance_rejected(self, scale):
+        # At 1e-160 S_y2 is a subnormal 2.9e-320 and rho_pb is off by 5e-5;
+        # at 1e-170 it underflows to 0, although y is not constant.
+        pop = FinitePopulation(y=np.array([1.0, 3.0, 2.0, 5.0]) * scale, phi=np.array([1, 0, 1, 0]))
+        with pytest.raises(DegeneratePopulationError, match="below the smallest normal float64; rescale"):
+            compute_params(pop)
+
+    def test_tiny_mean_with_infinite_cy_rejected(self):
+        # Ybar = 1e-300 while S_y is about 8e9, so S_y/Ybar overflows.
+        pop = load_population(io.StringIO("y,phi\n1e10,1\n-1e10,0\n4e-300,1\n0,0\n"))
+        with pytest.raises(DegeneratePopulationError, match=r"^population mean is zero or too near zero \(Ybar = 1e-300\)"):
+            compute_params(pop)
+
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.floats(min_value=-100, max_value=100).filter(lambda v: v == 0.0 or abs(v) >= 1e-3),
+            min_size=1,
+            max_size=30,
+        ),
+        st.lists(st.integers(min_value=0, max_value=1), min_size=30, max_size=30),
+        st.integers(min_value=-300, max_value=300),
+    )
+    def test_exactly_scale_equivariant(self, values, attribute, k):
+        # Scaling y by 2**k is exact while every moment stays a normal,
+        # finite float, so each parameter scales by its power of 2**k.
+        y = np.array([1.0, 2.0] + values)
+        phi = np.array([1, 0] + attribute[: len(values)])
+        try:
+            base = compute_params(FinitePopulation(y=y, phi=phi))
+            scaled = compute_params(FinitePopulation(y=np.ldexp(y, k), phi=phi))
+        except DegeneratePopulationError:
+            assume(False)  # constant y or zero mean
+        for field in ("Ybar", "Ybar0", "S_yphi"):
+            assert getattr(scaled, field) == np.ldexp(getattr(base, field), k), field
+        for field in ("S_y2", "S_e2"):
+            assert getattr(scaled, field) == np.ldexp(getattr(base, field), 2 * k), field
+        for field in ("P", "Q", "S_phi2", "rho_pb", "C_y", "C_p", "beta2_phi"):
+            assert getattr(scaled, field) == getattr(base, field), field
+
     def test_constant_attribute_rejected(self):
         pop = FinitePopulation(y=np.array([1.0, 2.0, 3.0]), phi=np.array([1, 1, 1]))
         with pytest.raises(DegeneratePopulationError):
@@ -236,7 +284,10 @@ class TestParamsFromMoments:
             (dict(Ybar=3, P=0.5, rho_pb=0.1, C_y=0.7, C_p=1e-200), "S_phi2 = 0 must be"),
             (dict(Ybar=3, P=0.5, rho_pb=0.1, C_y=1e-200, C_p=1), "S_y2 = 0 and"),
             (dict(Ybar=1e300, P=0.5, rho_pb=0.1, C_y=1e10, C_p=1, N=10), "S_y2 = inf and"),
-            (dict(Ybar=1, P=0.5, rho_pb=0.5, C_y=1e150, C_p=1e-161), "Ybar0 = .* = -inf must be finite"),
+            (dict(Ybar=1, P=0.5, rho_pb=0.5, C_y=1e150, C_p=1e-161), "S_phi2 = 2.47033e-323 must be"),
+            (dict(Ybar=1.5e308, P=0.9, rho_pb=-1, C_y=8.67e-155, C_p=1.667e-154), "Ybar0 = .* = inf must be finite"),
+            (dict(Ybar=1, P=0.5, rho_pb=0.1, C_y=1e-160, C_p=1, N=10), "S_y2 = 9.99989e-321 and .* rescale"),
+            (dict(Ybar=1, P=0.5, rho_pb=0.1, C_y=1, C_p=2e-155), "S_phi2 = 1e-310 must be"),
         ],
     )
     def test_overflowing_or_underflowing_variances_rejected(self, kwargs, message):
