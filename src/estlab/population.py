@@ -204,7 +204,8 @@ def compute_params(pop: FinitePopulation) -> PopulationParams:
     Raises DegeneratePopulationError when the attribute is constant
     (P would be 0 or 1), y is constant (zero variance), its moments overflow,
     its variance is below the smallest normal float64 (where it would keep
-    too few digits), or its mean is so near zero that C_y is not finite.
+    too few digits), or its mean is below the smallest normal float64 in
+    magnitude or so near zero that C_y is not finite.
     """
     n_units = pop.N
     a = pop.attribute_count
@@ -234,9 +235,10 @@ def compute_params(pop: FinitePopulation) -> PopulationParams:
         )
     s_y = math.sqrt(s_y2)
     c_y = s_y / ybar if ybar else math.inf
-    if not math.isfinite(c_y):
+    if abs(ybar) < sys.float_info.min or not math.isfinite(c_y):
         raise DegeneratePopulationError(
-            f"population mean is zero or too near zero (Ybar = {ybar:g}); C_y = S_y/Ybar is not finite"
+            f"population mean is zero or too near zero (Ybar = {ybar:g}); C_y = S_y/Ybar needs a finite"
+            f" ratio and |Ybar| of at least the smallest normal float64 ({sys.float_info.min:g})"
         )
     s_phi2 = n_units * p * q / (n_units - 1)
     s_phi = math.sqrt(s_phi2)
@@ -274,8 +276,8 @@ def params_from_moments(
     When ``beta2_phi`` is omitted it is filled in from the closed form
     (1-3PQ)/(PQ).  ``N`` may be omitted; operations that need the finite
     population correction will then refuse to run.  Every moment given must
-    be finite, and moments whose variances overflow, or fall below the
-    smallest normal float64, are refused.
+    be finite, and a ``Ybar`` or a variance below the smallest normal
+    float64, or a variance that overflows, is refused.
     """
     given = {"Ybar": Ybar, "P": P, "rho_pb": rho_pb, "C_y": C_y, "C_p": C_p, "beta2_phi": beta2_phi}
     for name, value in given.items():
@@ -283,8 +285,10 @@ def params_from_moments(
             raise InvalidMomentsError(f"{name} must be finite, got {value}")
     if not 0.0 < P < 1.0:
         raise InvalidMomentsError(f"P must lie strictly in (0,1), got {P}")
-    if not Ybar > 0.0:
-        raise InvalidMomentsError(f"Ybar must be positive, got {Ybar}")
+    if not Ybar >= sys.float_info.min:
+        raise InvalidMomentsError(
+            f"Ybar must be positive, and not below the smallest normal float64 ({sys.float_info.min:g}), got {Ybar}"
+        )
     if not C_y > 0.0:
         raise InvalidMomentsError(f"C_y must be positive, got {C_y}")
     if not C_p > 0.0:

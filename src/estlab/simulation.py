@@ -27,13 +27,14 @@ samples to the count, mean and sum of squared deviations of the two
 numerators at each ``a``, and one function evaluates all rows at once on
 ``(rows, n+1)`` tables; the per-sample work does not depend on the number
 of rows.  The two modes differ only in how they build those per-``a``
-tables.  Monte Carlo gathers the sums of each drawn sample from its unit
-indices and takes the tables over chunks of samples.  Enumeration does no
-work per n-subset: the subsets holding ``a`` holders are the pairs of an
-a-subset of the holders and an (n-a)-subset of the non-holders, so its
-tables follow exactly from each group's closed-form moments: over its
-k-subsets, the count C(G, k) and the mean and spread of their sums.  Both
-modes turn the per-row sums into rows through one summary function.
+tables, and both hand them to one summary function, which turns them into
+rows.  Monte Carlo gathers the sums of each drawn sample from its unit
+indices and takes one set of tables per chunk of samples.  Enumeration
+does no work per n-subset: the subsets holding ``a`` holders are the pairs
+of an a-subset of the holders and an (n-a)-subset of the non-holders, so
+its one set of tables follows exactly from each group's closed-form
+moments: over its k-subsets, the count C(G, k) and the mean and spread of
+their sums.
 
 Degenerate samples and the skip policy
 --------------------------------------
@@ -62,13 +63,13 @@ batch layout, thread count, or evaluation order.  Chunks of
 CPUs this process may use, at most 4), at most one chunk per thread ahead
 of the estimators.  A chunk holds 24 bytes per replicate, its three
 column sums; a thread draws it in passes of about 32K deviates, so each
-thread holds one pass of deviates and indices at a time.  The estimators
-run on the calling thread over the chunks in replicate-index order, and
-the chunk size depends only on N, so the output is bit-identical whatever
-the thread count.  The chunk, not the pass, fixes the output.  Within a
-chunk, the sums by ``a`` are taken over blocks of 128 samples, and the
-block subtotals pairwise; chunk subtotals are added with exact summation.
-Synthetic-population
+thread holds one pass of deviates and indices at a time.  The calling
+thread turns each chunk into its per-count tables and reduces them to
+per-row subtotals, in replicate-index order, and the chunk size depends
+only on N, so the output is bit-identical whatever the thread count.  The
+chunk, not the pass, fixes the output.  Within a chunk, the sums by ``a``
+are taken over blocks of 128 samples, and the block subtotals pairwise;
+chunk subtotals are added with exact summation.  Synthetic-population
 noise uses the same keyed generator from a disjoint counter block, so a
 shared seed never reuses a stream.
 """
@@ -79,7 +80,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Generator, Iterable, Iterator, Literal, Sequence
+from typing import Generator, Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -367,42 +368,29 @@ class _ByCount:
         return mean, self.sums(r * r)
 
 
-def _row_sums(
-    plan: tuple, true_mean: float, count: np.ndarray, mean: np.ndarray, m2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row of ``plan`` (:func:`_row_plan`), the sum and the sum of
-    squares of the deviations from ``true_mean``, and the number of samples
-    kept, from per-count tables.
-
-    ``count`` holds the samples at each a = 0..n, and row j of the (2, n+1)
-    tables ``mean`` and ``m2`` the mean and the sum of squared deviations
-    of numerator j (0: u, 1: x) there; each row reads the numerator its
-    plan names.  At a fixed a a row's deviation is ``(K - 1)*true_mean +
-    K*v``, so every term of the sum of squares is nonnegative.
-    """
-    _, numerator, defined, factor, _ = plan
-    kept = count * defined
-    g = (factor - 1.0) * true_mean + factor * mean[numerator]
-    sum_d = (kept * g).sum(axis=1)
-    sum_d2 = (factor * factor * m2[numerator] + kept * g * g).sum(axis=1)
-    return sum_d, sum_d2, kept.sum(axis=1)
-
-
 def _summarize(
-    labels: list[str],
-    chunks: list[Sequence[np.ndarray]],
-    n: int,
-    total: int,
-    true_mean: float,
-    mode: str,
+    plan: tuple, true_mean: float, tables: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]], total: int, mode: str
 ) -> SimResult:
-    """One row per label, the sample mean first, with PREs against it.
+    """One row per row of ``plan`` (:func:`_row_plan`), the sample mean
+    first, with PREs against it, from per-count tables.
 
-    Each chunk gives, per row, the sum and the sum of squares of the
-    deviations from ``true_mean`` and the number of samples kept; the chunk
-    subtotals are added with exact summation.
+    Each of ``tables`` holds, for some of the samples, the ``count`` at
+    each a = 0..n, and in row j of its (2, n+1) ``mean`` and ``m2`` the
+    mean and the sum of squared deviations of numerator j (0: u, 1: x)
+    there; each row reads the numerator its plan names.  At a fixed a a
+    row's deviation from ``true_mean`` is ``(K - 1)*true_mean + K*v``, so
+    every term of its sum of squares is nonnegative.  Each table is
+    reduced to per-row sums as it arrives, and those subtotals are added
+    with exact summation.
     """
-    sum_d, sum_d2, kept = (np.array(x) for x in zip(*chunks))  # each (chunks, rows)
+    labels, numerator, defined, factor, _ = plan
+    parts = []
+    for count, mean, m2 in tables:
+        kept = count * defined
+        g = (factor - 1.0) * true_mean + factor * mean[numerator]
+        sum_d2 = (factor * factor * m2[numerator] + kept * g * g).sum(axis=1)
+        parts.append(((kept * g).sum(axis=1), sum_d2, kept.sum(axis=1)))
+    sum_d, sum_d2, kept = (np.array(x) for x in zip(*parts))  # each (tables, rows)
     rows: list[EstimatorSummary] = []
     for label, s, s2, c in zip(labels, sum_d.T, sum_d2.T, kept.T):
         count = int(c.sum())
@@ -414,48 +402,32 @@ def _summarize(
         else:
             pre = 100.0 * mean_mse / mse if mse > 0.0 else None
         rows.append(EstimatorSummary(label, true_mean + bias, bias, mse, pre, total - count, count))
-    return SimResult(rows=tuple(rows), n=n, samples=total, true_mean=true_mean, mode=mode)
+    return SimResult(rows=tuple(rows), n=defined.shape[1] - 1, samples=total, true_mean=true_mean, mode=mode)
 
 
-def _run_batches(
-    plan: tuple,
-    n: int,
-    policy: DegeneratePolicy,
-    true_mean: float,
-    batches: Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]],
-    total: int,
-) -> SimResult:
-    """Evaluate the rows of ``plan`` (:func:`_row_plan`) on Monte Carlo
-    chunks.
+def _chunk_tables(
+    plan: tuple, policy: DegeneratePolicy, start: int, sums: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-count tables of one Monte Carlo chunk, as :func:`_summarize`
+    reads them, from its (3, count) column sums: per sample, the attribute
+    count a and the group sums S1 and S0.
 
-    ``batches`` yields (start_index, a, S1, S0) in sample order: per
-    sample, the attribute count and the sums of ``y - true_mean`` over its
-    holders and over its non-holders.
-
-    Each chunk is reduced to the centred numerators that the plan's rows
-    read, u and, when some row uses the slope, x, each formed per sample
-    from the plan's coefficients at its a.  So every row's sums follow
-    from the count, the mean and the sum of squared deviations of u and x
-    at each a = 0..n (:func:`_row_sums`): per-sample work does not grow
-    with the number of rows.
+    Each numerator some row of ``plan`` reads is formed per sample from the
+    plan's coefficients at its a.  Under ``error`` a sample that some row
+    cannot evaluate raises, naming its replicate index ``start + i``.
     """
     labels, numerator, defined, _, coef = plan
+    n = defined.shape[1] - 1
+    a, s1, s0 = sums[0].astype(np.intp), sums[1], sums[2]
+    groups = _ByCount(a, n)
     evaluable = defined.all(axis=0)
-    read = set(numerator.tolist())  # np.unique would load numpy.ma, ~1.5 MB
-    chunks = []
-    for start, a, s1, s0 in batches:
-        a_int = a.astype(np.intp)
-        groups = _ByCount(a_int, n)
-        if policy == "error" and groups.count[~evaluable].any():
-            first = int(np.argmin(evaluable[a_int]))
-            reason = _undefined_reason(labels, defined, n, int(a_int[first]))
-            raise DegenerateSampleError(reason, replicate=start + first)
-
-        mean, m2 = np.zeros((2, n + 1)), np.zeros((2, n + 1))
-        for j in read:
-            mean[j], m2[j] = groups.moments(coef[j, 0, a_int] * s1 + coef[j, 1, a_int] * s0)
-        chunks.append(_row_sums(plan, true_mean, groups.count, mean, m2))
-    return _summarize(labels, chunks, n, total, true_mean, "monte_carlo")
+    if policy == "error" and groups.count[~evaluable].any():
+        first = int(np.argmin(evaluable[a]))
+        raise DegenerateSampleError(_undefined_reason(labels, defined, n, int(a[first])), replicate=start + first)
+    mean, m2 = np.zeros((2, n + 1)), np.zeros((2, n + 1))
+    for j in set(numerator.tolist()):  # np.unique would load numpy.ma, ~1.5 MB
+        mean[j], m2[j] = groups.moments(coef[j, 0, a] * s1 + coef[j, 1, a] * s0)
+    return groups.count, mean, m2
 
 
 def _subset_sum_moments(values: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -551,19 +523,18 @@ def enumerate_all_samples(
     alpha, beta = coef[:, 0], coef[:, 1]
     mean = alpha * mean1 + beta * mean0
     m2 = c0 * alpha * alpha * m2_1 + c1 * beta * beta * m2_0
-    return _summarize(labels, [_row_sums(plan, true_mean, count, mean, m2)], n, total, true_mean, "enumerate")
+    return _summarize(plan, true_mean, [(count, mean, m2)], total, "enumerate")
 
 
-def _sample_chunk(
-    cols: np.ndarray, n: int, seed: int, start: int, count: int
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Draw replicates start .. start + count - 1 and return their column sums.
+def _sample_chunk(cols: np.ndarray, n: int, seed: int, start: int, count: int) -> np.ndarray:
+    """Draw replicates start .. start + count - 1 and return their (3, count)
+    column sums.
 
     The chunk is drawn in passes of about ``_PASS_DEVIATES`` deviates, so
     the (rows, N) deviates and indices of one pass stay in cache; only the
-    (3, count) sums scale with the chunk.  A deviate is kept as the 53 raw
-    bits that ``Generator.random`` would scale to a double, so the order,
-    the ties and the selected units are those of the uniform deviates.
+    sums scale with the chunk.  A deviate is kept as the 53 raw bits that
+    ``Generator.random`` would scale to a double, so the order, the ties
+    and the selected units are those of the uniform deviates.
     """
     N = cols.shape[1]
     stride = 4 * -(-N // 4)  # Philox advances in blocks of four 64-bit draws
@@ -577,24 +548,22 @@ def _sample_chunk(
         u >>= 11
         idx = np.ascontiguousarray(np.argpartition(u[:, :N], n - 1, axis=1)[:, :n])
         np.take(cols, idx, axis=1).sum(axis=2, out=sums[:, lo : lo + rows])
-    return (start, *sums)
+    return sums
 
 
 def _replicate_batches(
     cols: np.ndarray, n: int, seed: int, replicates: int
-) -> Generator[tuple[int, np.ndarray, np.ndarray, np.ndarray], None, None]:
-    """Column sums of every replicate, chunk by chunk in index order.
+) -> Generator[tuple[int, np.ndarray], None, None]:
+    """(start, column sums) of every chunk, in replicate-index order.
 
-    A chunk is ``_BATCH_ELEMENTS // (4 * N)`` rows, so its bounds depend
-    only on N.  With more than one chunk and more than one usable CPU, at
-    most ``workers`` chunks are submitted ahead of the consumer; closing
-    the generator cancels the rest and waits for the running ones.
+    Closing the generator cancels the chunks not yet started and waits for
+    the running ones.
     """
     rows = max(1, _BATCH_ELEMENTS // (4 * cols.shape[1]))
     starts = range(0, replicates, rows)
 
-    def chunk(start: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        return _sample_chunk(cols, n, seed, start, min(rows, replicates - start))
+    def chunk(start: int) -> tuple[int, np.ndarray]:
+        return start, _sample_chunk(cols, n, seed, start, min(rows, replicates - start))
 
     workers = min(_WORKERS, len(starts))
     if workers == 1:
@@ -619,17 +588,10 @@ def _replicate_batches(
 def monte_carlo(pop: FinitePopulation, config: SimConfig) -> SimResult:
     """Replicate independent SRSWOR draws and summarise estimator accuracy.
 
-    Bit-identical output for a given (population, config), whatever the
-    CPU count; see the module notes on the replicate stream layout.
-    Replicates are drawn in chunks of ``4_000_000 // (4 * N)`` rows on up
-    to four threads (the CPUs this process may use, at most 4), and the
-    estimators run on the calling thread, chunk by chunk in replicate
-    order.  The chunk depends only on N, and it, not the pass a thread
-    draws it in, fixes the output.  At most one chunk per thread is drawn
-    ahead of the estimators; a chunk holds 24 bytes per replicate, and
-    each thread holds one pass of about 32K deviates while it draws.  A
-    run that fits in one chunk starts no thread, and no thread outlives
-    the call, also when it raises.
+    The output is a pure function of (population, config), bit-identical
+    whatever the CPU count (see the module notes).  A run that fits in one
+    chunk starts no thread, and no thread outlives the call, also when it
+    raises.
     """
     if not 2 <= config.n < pop.N:
         raise InvalidSampleSizeError(
@@ -639,6 +601,7 @@ def monte_carlo(pop: FinitePopulation, config: SimConfig) -> SimResult:
     true_mean, cols = _unit_columns(pop)
     batches = _replicate_batches(cols, config.n, config.seed, config.replicates)
     try:
-        return _run_batches(plan, config.n, config.degenerate_policy, true_mean, batches, config.replicates)
+        tables = (_chunk_tables(plan, config.degenerate_policy, start, sums) for start, sums in batches)
+        return _summarize(plan, true_mean, tables, config.replicates, "monte_carlo")
     finally:
         batches.close()  # stops the sampling threads if the kernel raised

@@ -589,16 +589,24 @@ class TestInputChecks:
         assert (code, out) == (2, "")
         assert err == "error: the moments of y overflow float64; rescale the study values\n"
 
+    @pytest.mark.parametrize("command", [("params",), ("pre", "--n", "3")])
+    def test_subnormal_moments_mean_refused(self, capsys, command):
+        moments = "Ybar=1e-310,P=0.5,rho=0.1,Cy=1e300,Cp=1,N=10"
+        code, out, err = run(capsys, command[0], "--moments", moments, *command[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Ybar must be positive, and not below") and err.count("\n") == 1
+
     @pytest.mark.parametrize("command", [("params",), ("pre", "--n", "2"), ("simulate", "--n", "2", "--replicates", "10")])
     @pytest.mark.parametrize(
         "rows, message",
         [
             ("1e10,1\n-1e10,0\n4e-300,1\n0,0", "population mean is zero or too near zero (Ybar = 1e-300)"),
+            ("0.1,1\n-0.1,0\n4e-309,1\n0,0", "population mean is zero or too near zero (Ybar = 1e-309)"),
             ("1e-160,1\n3e-160,0\n2e-160,1\n5e-160,0", "the variance of y, S_y2 = 2.91696e-320, is below"),
             ("1e-170,1\n3e-170,0\n2e-170,1\n5e-170,0", "the variance of y, S_y2 = 0, is below"),
             ("0.1,1\n0.1,0\n0.1,1", "study variable is constant"),
         ],
-        ids=["tiny-mean", "subnormal-variance", "underflowing-variance", "constant"],
+        ids=["tiny-mean", "subnormal-mean", "subnormal-variance", "underflowing-variance", "constant"],
     )
     def test_unusable_population_refused(self, capsys, tmp_path, command, rows, message):
         path = tmp_path / "pop.csv"

@@ -145,6 +145,12 @@ class TestComputeParams:
         with pytest.raises(DegeneratePopulationError, match=r"^population mean is zero or too near zero \(Ybar = 1e-300\)"):
             compute_params(pop)
 
+    def test_subnormal_mean_rejected(self):
+        # Ybar is a subnormal 1e-309 that has lost digits, though S_y/Ybar is finite.
+        pop = load_population(io.StringIO("y,phi\n0.1,1\n-0.1,0\n4e-309,1\n0,0\n"))
+        with pytest.raises(DegeneratePopulationError, match=r"^population mean is zero or too near zero \(Ybar = 1e-309\)"):
+            compute_params(pop)
+
     @settings(deadline=None)
     @given(
         st.lists(
@@ -288,6 +294,7 @@ class TestParamsFromMoments:
             (dict(Ybar=1.5e308, P=0.9, rho_pb=-1, C_y=8.67e-155, C_p=1.667e-154), "Ybar0 = .* = inf must be finite"),
             (dict(Ybar=1, P=0.5, rho_pb=0.1, C_y=1e-160, C_p=1, N=10), "S_y2 = 9.99989e-321 and .* rescale"),
             (dict(Ybar=1, P=0.5, rho_pb=0.1, C_y=1, C_p=2e-155), "S_phi2 = 1e-310 must be"),
+            (dict(Ybar=1e-310, P=0.5, rho_pb=0.1, C_y=1e300, C_p=1, N=10), "^Ybar must be positive, and not below"),
         ],
     )
     def test_overflowing_or_underflowing_variances_rejected(self, kwargs, message):

@@ -1,6 +1,8 @@
 """Verification engine: SRSWOR draws, enumeration, Monte Carlo, synthesis."""
 
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -720,6 +722,25 @@ class TestThreadedSampling:
         assert outcome == ["chunk 2 failed"]
         assert threading.active_count() == before
 
+    def test_runs_load_no_numpy_ma(self):
+        # np.unique imports numpy.ma, which costs ~1.2 MB of peak RSS; a
+        # fresh interpreter shows what a multi-chunk run and an enumeration
+        # import.
+        script = """
+import sys
+from estlab import SimConfig, SyntheticSpec, enumerate_all_samples, monte_carlo, synthesize_population
+pop = synthesize_population(SyntheticSpec(N=200, P_target=0.3), seed=1)
+assert len(monte_carlo(pop, SimConfig(n=40, replicates=12_000)).rows) == 12  # three chunks
+assert len(enumerate_all_samples(pop, 2).rows) == 12
+print("numpy.ma" in sys.modules)
+"""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(simulation.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
 
 class TestChunkSampling:
     """``_sample_chunk`` draws a chunk in passes of about
@@ -748,9 +769,8 @@ class TestChunkSampling:
         chunks = [(0, rows), (rows, pass_rows + 1)]
         checked = {pass_rows - 1, pass_rows, rows - 1, rows, rows + pass_rows - 1, rows + pass_rows}
         for start, count in chunks:
-            got_start, *sums = simulation._sample_chunk(cols, n, seed, start, count)
-            assert got_start == start
-            assert all(s.shape == (count,) for s in sums)
+            sums = simulation._sample_chunk(cols, n, seed, start, count)
+            assert sums.shape == (3, count)
             for i in sorted(j for j in checked if start <= j < start + count):
                 expected = self.replicate_sums(cols, n, seed, i)
                 assert [s[i - start] for s in sums] == expected.tolist(), f"replicate {i}"
