@@ -45,6 +45,7 @@ from .estimators import (
 from .population import (
     FinitePopulation,
     PopulationParams,
+    _centred,
     bernoulli_kurtosis,
     compute_params,
     load_population,
@@ -349,11 +350,11 @@ def _select_sample(args: argparse.Namespace, pop: FinitePopulation, seed: int) -
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     pop = load_population(args.input)
-    params = compute_params(pop)
+    include_mean, ids = _parse_estimators(args.estimators)
+    params = compute_params(pop) if ids else None  # the sample mean needs none
     seed = _default_seed(args.seed)
     sample, echo = _select_sample(args, pop, seed)
     echo = {"input": args.input, "N": pop.N, **echo}
-    include_mean, ids = _parse_estimators(args.estimators)
     stats = compute_sample_stats(sample)
 
     rows: list[dict[str, Any]] = []
@@ -386,9 +387,15 @@ _SIM_COLUMNS = [
 
 
 def _sim_results(
-    result: SimResult, params: PopulationParams, include_mean: bool
+    result: SimResult, pop: FinitePopulation, params: PopulationParams | None, include_mean: bool
 ) -> tuple[dict[str, Any], list[str]]:
-    """Attach closed-form MSEs and relative errors to a simulation report."""
+    """Attach closed-form MSEs and relative errors to a simulation report.
+
+    The mean row's variance fpc*S_y2 takes S_y2 and fpc from the population
+    by the code that ``compute_params`` and ``variance_sample_mean`` use, so
+    ``params`` is None when only the sample mean was asked for, and such a
+    run works on a population that ``compute_params`` refuses.
+    """
     rows: list[dict[str, Any]] = []
     warnings: list[str] = []
     for row in result.rows:
@@ -396,7 +403,7 @@ def _sim_results(
             continue
         theoretical: float | None
         if row.estimator == "mean":
-            theoretical = theory.variance_sample_mean(params, result.n)
+            theoretical = theory._fpc(pop.N, result.n) * _centred(pop.y)[2]
         else:
             try:
                 theoretical = theory.mse_proposed(params, result.n, EstimatorId(row.estimator))
@@ -431,8 +438,8 @@ def _sim_results(
 def _cmd_simulate(args: argparse.Namespace) -> int:
     seed = _default_seed(args.seed)
     pop, echo = _load_population_source(args, seed)
-    params = compute_params(pop)
     include_mean, ids = _parse_estimators(args.estimators)
+    params = compute_params(pop) if ids else None
     config = SimConfig(
         n=args.n,
         replicates=args.replicates,
@@ -442,18 +449,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     result = monte_carlo(pop, config)
     echo = {**echo, "n": args.n, "replicates": args.replicates, "seed": seed, "policy": args.policy}
-    results, warnings = _sim_results(result, params, include_mean)
+    results, warnings = _sim_results(result, pop, params, include_mean)
     _emit(args, "simulate", echo, results, warnings, results["rows"])
     return EXIT_OK
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     pop = load_population(args.input)
-    params = compute_params(pop)
     include_mean, ids = _parse_estimators(args.estimators)
+    params = compute_params(pop) if ids else None
     result = enumerate_all_samples(pop, args.n, ids, args.policy)
     echo = {"input": args.input, "N": pop.N, "n": args.n, "policy": args.policy}
-    results, warnings = _sim_results(result, params, include_mean)
+    results, warnings = _sim_results(result, pop, params, include_mean)
     _emit(args, "enumerate", echo, results, warnings, results["rows"])
     return EXIT_OK
 

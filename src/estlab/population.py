@@ -16,6 +16,18 @@ error theory, simulation) consumes the derived :class:`PopulationParams`:
 
 Parameters can also be reconstructed from published summary moments via
 :func:`params_from_moments`, for datasets where only the moments survive.
+Both routes hand what they build to one validity rule, and differ only in
+the error they raise (DegeneratePopulationError, InvalidMomentsError).  In
+the order checked:
+
+* 0 < P < 1, C_p > 0, |rho_pb| <= 1, and N None or at least 2;
+* |Ybar|, S_y2 and S_phi2 at least the smallest normal float64, below
+  which a value keeps too few digits;
+* every field finite;
+* C_y of Ybar's sign, so that S_y = C_y*Ybar > 0.  A negative mean is
+  allowed: the data route has always taken one, and so the moments of
+  every accepted population are accepted back.
+
 Quantities that depend on the sample size, such as the design variance of
 the sample mean, live in :mod:`estlab.theory`.
 """
@@ -199,13 +211,12 @@ def compute_params(pop: FinitePopulation) -> PopulationParams:
     Variances and the covariance use divisor N-1.  For a binary attribute
     the variance has the closed form N*P*Q/(N-1), which is used directly so
     the identity holds to the last bit.  The attribute kurtosis likewise
-    uses its closed form (1-3PQ)/(PQ).
+    uses its closed form (1-3PQ)/(PQ).  ``rho_pb`` is clamped to [-1, 1],
+    where Cauchy-Schwarz puts its exact value: rounding can leave it an ulp
+    outside when y is affine in the attribute.
 
-    Raises DegeneratePopulationError when the attribute is constant
-    (P would be 0 or 1), y is constant (zero variance), its moments overflow,
-    its variance is below the smallest normal float64 (where it would keep
-    too few digits), or its mean is below the smallest normal float64 in
-    magnitude or so near zero that C_y is not finite.
+    Raises DegeneratePopulationError when the attribute or y is constant,
+    or when the parameters break the validity rule (see the module notes).
     """
     n_units = pop.N
     a = pop.attribute_count
@@ -213,50 +224,34 @@ def compute_params(pop: FinitePopulation) -> PopulationParams:
         raise DegeneratePopulationError(
             f"attribute is constant ({a} of {n_units} units possess it); proportion must lie in (0,1)"
         )
+    if pop.y.min() == pop.y.max():  # the rounded mean can leave S_y2 a residue
+        raise DegeneratePopulationError("study variable is constant; its variance is zero")
     p = a / n_units
     q = (n_units - a) / n_units  # correctly rounded; 1 - p loses digits as p nears 1
     holds = pop.phi == 1
-    try:
-        with np.errstate(over="raise"):
-            ybar = float(pop.y.mean())
-            dev_y = pop.y - ybar
-            s_y2 = float(dev_y @ dev_y) / (n_units - 1)
-            s_yphi = float(dev_y @ (pop.phi - p)) / (n_units - 1)
-            ybar0 = float(pop.y[~holds].mean())
-            dev_e = pop.y - np.where(holds, float(pop.y[holds].mean()), ybar0)
-            s_e2 = float(dev_e @ dev_e) / (n_units - 1)
-    except FloatingPointError:
-        raise DegeneratePopulationError("the moments of y overflow float64; rescale the study values") from None
-    if pop.y.min() == pop.y.max():  # the rounded mean can leave s_y2 a residue
-        raise DegeneratePopulationError("study variable is constant; its variance is zero")
-    if s_y2 < sys.float_info.min:
-        raise DegeneratePopulationError(
-            f"the variance of y, S_y2 = {s_y2:g}, is below the smallest normal float64; rescale the study values"
-        )
-    s_y = math.sqrt(s_y2)
-    c_y = s_y / ybar if ybar else math.inf
-    if abs(ybar) < sys.float_info.min or not math.isfinite(c_y):
-        raise DegeneratePopulationError(
-            f"population mean is zero or too near zero (Ybar = {ybar:g}); C_y = S_y/Ybar needs a finite"
-            f" ratio and |Ybar| of at least the smallest normal float64 ({sys.float_info.min:g})"
-        )
     s_phi2 = n_units * p * q / (n_units - 1)
     s_phi = math.sqrt(s_phi2)
-    return PopulationParams(
-        Ybar=ybar,
-        P=p,
-        Q=q,
-        S_y2=s_y2,
-        S_phi2=s_phi2,
-        S_yphi=s_yphi,
-        rho_pb=s_yphi / (s_y * s_phi),
-        C_y=c_y,
-        C_p=s_phi / p,
-        beta2_phi=_kurtosis_from_pq(p * q),
-        Ybar0=ybar0,
-        S_e2=s_e2,
-        N=n_units,
-    )
+    with np.errstate(all="ignore"):  # overflows and zero divisors leave inf or nan for the rule
+        ybar, dev_y, s_y2 = _centred(pop.y)
+        s_y = np.sqrt(s_y2)  # a float64 scalar: S_y/0 is inf, not ZeroDivisionError
+        s_yphi = float(dev_y @ (pop.phi - p)) / (n_units - 1)
+        ybar0 = float(pop.y[~holds].mean())
+        dev_e = pop.y - np.where(holds, float(pop.y[holds].mean()), ybar0)
+        params = PopulationParams(
+            Ybar=ybar, P=p, Q=q, S_y2=s_y2, S_phi2=s_phi2, S_yphi=s_yphi,
+            rho_pb=float(min(max(s_yphi / (s_y * s_phi), -1.0), 1.0)),  # NaN, first, stays NaN
+            C_y=float(s_y / ybar), C_p=s_phi / p, beta2_phi=_kurtosis_from_pq(p * q),
+            Ybar0=ybar0, S_e2=float(dev_e @ dev_e) / (n_units - 1), N=n_units,
+        )
+    return _checked_params(params, DegeneratePopulationError)
+
+
+def _centred(values: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """Mean, deviations from it, and variance with divisor N-1 (inf if it overflows)."""
+    with np.errstate(all="ignore"):
+        mean = float(values.mean())
+        dev = values - mean
+        return mean, dev, float(dev @ dev) / (len(values) - 1)
 
 
 def params_from_moments(
@@ -275,53 +270,50 @@ def params_from_moments(
     for a 0/1 attribute.
     When ``beta2_phi`` is omitted it is filled in from the closed form
     (1-3PQ)/(PQ).  ``N`` may be omitted; operations that need the finite
-    population correction will then refuse to run.  Every moment given must
-    be finite, and a ``Ybar`` or a variance below the smallest normal
-    float64, or a variance that overflows, is refused.
+    population correction will then refuse to run.  Raises
+    InvalidMomentsError when the parameters break the validity rule (see
+    the module notes); a non-finite input is named by its own name.
     """
-    given = {"Ybar": Ybar, "P": P, "rho_pb": rho_pb, "C_y": C_y, "C_p": C_p, "beta2_phi": beta2_phi}
-    for name, value in given.items():
-        if value is not None and not math.isfinite(value):
-            raise InvalidMomentsError(f"{name} must be finite, got {value}")
-    if not 0.0 < P < 1.0:
-        raise InvalidMomentsError(f"P must lie strictly in (0,1), got {P}")
-    if not Ybar >= sys.float_info.min:
-        raise InvalidMomentsError(
-            f"Ybar must be positive, and not below the smallest normal float64 ({sys.float_info.min:g}), got {Ybar}"
+    ybar, p = float(Ybar), float(P)
+    with np.errstate(all="ignore"):  # float64 scalars: a zero S_phi2 divides to inf or nan
+        s_y = C_y * ybar
+        s_phi = np.float64(C_p) * p
+        s_yphi = rho_pb * s_y * s_phi
+        s_y2, s_phi2 = s_y * s_y, s_phi * s_phi
+        params = PopulationParams(
+            Ybar=ybar, P=p, Q=1.0 - p, S_y2=s_y2, S_phi2=float(s_phi2), S_yphi=float(s_yphi),
+            rho_pb=float(rho_pb), C_y=float(C_y), C_p=float(C_p),
+            beta2_phi=float(_kurtosis_from_pq(np.float64(p) * (1.0 - p)) if beta2_phi is None else beta2_phi),
+            Ybar0=float(ybar - p * (s_yphi / s_phi2)), S_e2=s_y2 * (1.0 - rho_pb * rho_pb),
+            N=None if N is None else int(N),
         )
-    if not C_y > 0.0:
-        raise InvalidMomentsError(f"C_y must be positive, got {C_y}")
-    if not C_p > 0.0:
-        raise InvalidMomentsError(f"C_p must be positive, got {C_p}")
-    if not abs(rho_pb) <= 1.0:
-        raise InvalidMomentsError(f"rho_pb must lie in [-1,1], got {rho_pb}")
-    if N is not None and N < 2:
-        raise InvalidMomentsError(f"N must be at least 2, got {N}")
-    s_y = C_y * Ybar
-    s_phi = C_p * P
-    s_yphi = rho_pb * s_y * s_phi
-    s_y2, s_phi2 = s_y * s_y, s_phi * s_phi
-    if not (sys.float_info.min <= s_y2 < math.inf and sys.float_info.min <= s_phi2 < math.inf):
-        raise InvalidMomentsError(
-            f"variances S_y2 = {s_y2:g} and S_phi2 = {s_phi2:g} must be finite and positive, and not below"
-            f" the smallest normal float64 ({sys.float_info.min:g}); rescale the study values (Ybar)"
-        )
-    ybar0 = float(Ybar) - P * (s_yphi / s_phi2)
-    if not math.isfinite(ybar0):
-        raise InvalidMomentsError(f"Ybar0 = Ybar - P*S_yphi/S_phi2 = {ybar0:g} must be finite")
-    return PopulationParams(
-        Ybar=float(Ybar),
-        P=float(P),
-        Q=1.0 - float(P),
-        S_y2=s_y2,
-        S_phi2=s_phi2,
-        S_yphi=s_yphi,
-        rho_pb=float(rho_pb),
-        C_y=float(C_y),
-        C_p=float(C_p),
-        beta2_phi=float(beta2_phi) if beta2_phi is not None else bernoulli_kurtosis(P),
-        Ybar0=ybar0,
-        S_e2=s_y2 * (1.0 - rho_pb * rho_pb),
-        N=int(N) if N is not None else None,
-    )
+    return _checked_params(params, InvalidMomentsError, ("Ybar", "P", "rho_pb", "C_y", "C_p", "beta2_phi"))
 
+
+def _checked_params(params: PopulationParams, invalid: type[Exception], given: tuple[str, ...] = ()) -> PopulationParams:
+    """Return ``params`` if they keep the validity rule of the module notes,
+    else raise ``invalid``.  The range checks let NaN through to the
+    finiteness check, which takes the route's inputs ``given`` first, so a
+    non-finite input is named rather than a field derived from it."""
+    if params.P <= 0.0 or params.P >= 1.0:
+        raise invalid(f"P must lie strictly in (0,1), got {params.P}")
+    if params.C_p <= 0.0:
+        raise invalid(f"C_p must be positive, got {params.C_p}")
+    if abs(params.rho_pb) > 1.0:
+        raise invalid(f"rho_pb must lie in [-1,1], got {params.rho_pb}")
+    if params.N is not None and params.N < 2:
+        raise invalid(f"N must be at least 2, got {params.N}")
+    fields = vars(params)
+    rescale = {name: "; rescale the study values" for name in ("S_y2", "S_yphi", "Ybar0", "S_e2")}
+    for name in ("Ybar", "S_y2", "S_phi2"):
+        if abs(fields[name]) < sys.float_info.min:
+            raise invalid(
+                f"{name} = {fields[name]:g} is too near zero: below the smallest normal float64"
+                f" ({sys.float_info.min:g}) in magnitude it keeps too few digits{rescale.get(name, '')}"
+            )
+    for name in (*given, *fields):
+        if name != "N" and not math.isfinite(fields[name]):
+            raise invalid(f"{name} must be finite, got {fields[name]}{rescale.get(name, '')}")
+    if not params.C_y * params.Ybar > 0.0:
+        raise invalid(f"C_y = {params.C_y:g} must carry the sign of Ybar = {params.Ybar:g}, so that S_y = C_y*Ybar > 0")
+    return params

@@ -112,13 +112,13 @@ class PreRow:
     pre: float
 
 
-def _fpc(params: PopulationParams, n: int) -> float:
+def _fpc(N: int | None, n: int) -> float:
     """(1 - n/N)/n, validating n against a known population size."""
-    if params.N is None:
+    if N is None:
         raise MissingPopulationSizeError("mean squared error needs the population size N")
-    if not 1 <= n <= params.N:
-        raise InvalidSampleSizeError(f"sample size must satisfy 1 <= n <= {params.N}, got {n}")
-    return (1.0 - n / params.N) / n
+    if not 1 <= n <= N:
+        raise InvalidSampleSizeError(f"sample size must satisfy 1 <= n <= {N}, got {n}")
+    return (1.0 - n / N) / n
 
 
 def variance_sample_mean(params: PopulationParams, n: int) -> float:
@@ -127,7 +127,7 @@ def variance_sample_mean(params: PopulationParams, n: int) -> float:
     ``f = n/N`` is the sampling fraction, so a census (n = N) gives zero.
     Requires a known population size.
     """
-    return _fpc(params, n) * params.S_y2
+    return _fpc(params.N, n) * params.S_y2
 
 
 def form_ratio_constant(params: PopulationParams, form: EstimatorForm) -> float:
@@ -156,7 +156,7 @@ def _unit_mse(params: PopulationParams, estimator: EstimatorId) -> float:
 def mse_proposed(params: PopulationParams, n: int, estimator: EstimatorId) -> float:
     """First-order MSE of any ratio-type row: fpc * (G^2 S_phi2 + S_e2), with
     G = R for a family member and Ybar0/P for NG."""
-    return _fpc(params, n) * _unit_mse(params, estimator)
+    return _fpc(params.N, n) * _unit_mse(params, estimator)
 
 
 def mse_from_linearization(params: PopulationParams, n: int, form: EstimatorForm) -> float:
@@ -168,7 +168,7 @@ def mse_from_linearization(params: PopulationParams, n: int, form: EstimatorForm
     if params.S_phi2 == 0.0:
         raise DegeneratePopulationError("attribute variance is zero; B_phi undefined")
     g = form_ratio_constant(params, form) + params.B_phi
-    return _fpc(params, n) * (
+    return _fpc(params.N, n) * (
         params.S_y2 + g * g * params.S_phi2 - 2.0 * g * params.S_yphi
     )
 

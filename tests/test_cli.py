@@ -558,19 +558,26 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("command", [("params",), ("pre", "--n", "3")])
     @pytest.mark.parametrize(
-        "moments",
+        "moments, rows, field, refusal",
         [
-            "Ybar=3,P=0.5,rho=0.1,Cy=0.7,Cp=1e-200",
-            "Ybar=3,P=0.5,rho=0.1,Cy=1e-200,Cp=1",
-            "Ybar=1e300,P=0.5,rho=0.1,Cy=1e10,Cp=1,N=10",
-            "Ybar=1,P=0.5,rho=0.1,Cy=1e-160,Cp=1,N=10",
+            ("Ybar=3,P=0.5,rho=0.1,Cy=0.7,Cp=1e-200", None, "S_phi2", "is too near zero"),
+            ("Ybar=3,P=0.5,rho=0.1,Cy=1e-200,Cp=1", "1e-170,1\n3e-170,0\n2e-170,1\n5e-170,0", "S_y2", "is too near zero"),
+            ("Ybar=1e300,P=0.5,rho=0.1,Cy=1e10,Cp=1,N=10", "1e200,1\n3e200,0\n2e200,1\n5e200,0", "S_y2", "must be finite"),
+            ("Ybar=1,P=0.5,rho=0.1,Cy=1e-160,Cp=1,N=10", "1e-160,1\n3e-160,0\n2e-160,1\n5e-160,0", "S_y2", "is too near zero"),
+            ("Ybar=1e-310,P=0.5,rho=0.1,Cy=1e300,Cp=1,N=10", "0.1,1\n-0.1,0\n4e-309,1\n0,0", "Ybar", "is too near zero"),
         ],
+        ids=["underflowing-S_phi2", "underflowing-S_y2", "overflowing-S_y2", "subnormal-S_y2", "subnormal-Ybar"],
     )
-    def test_overflowing_moments_refused(self, capsys, command, moments):
-        code, out, err = run(capsys, command[0], "--moments", moments, *command[1:])
-        assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "must be finite and positive" in err
+    def test_overflowing_moments_refused(self, capsys, tmp_path, command, moments, rows, field, refusal):
+        # A refusal with the same cause names the same field whether the
+        # parameters come from summary moments or from a population CSV.
+        path = tmp_path / "pop.csv"
+        path.write_text(f"y,phi\n{rows}\n", encoding="utf-8")
+        sources = [("--moments", moments)] + [("--input", str(path))] * (rows is not None)
+        for source in sources:
+            code, out, err = run(capsys, command[0], *source, *command[1:])
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: {field} ") and refusal in err and err.count("\n") == 1, source
 
     @pytest.mark.parametrize(
         "argv",
@@ -587,23 +594,23 @@ class TestInputChecks:
         path.write_text("y,phi\n1e200,1\n3e200,0\n2e200,1\n5e200,0\n", encoding="utf-8")
         code, out, err = run(capsys, argv[0], "--input", str(path), *argv[1:])
         assert (code, out) == (2, "")
-        assert err == "error: the moments of y overflow float64; rescale the study values\n"
+        assert err == "error: S_y2 must be finite, got inf; rescale the study values\n"
 
     @pytest.mark.parametrize("command", [("params",), ("pre", "--n", "3")])
     def test_subnormal_moments_mean_refused(self, capsys, command):
         moments = "Ybar=1e-310,P=0.5,rho=0.1,Cy=1e300,Cp=1,N=10"
         code, out, err = run(capsys, command[0], "--moments", moments, *command[1:])
         assert (code, out) == (2, "")
-        assert err.startswith("error: Ybar must be positive, and not below") and err.count("\n") == 1
+        assert err.startswith("error: Ybar = 1e-310 is too near zero") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", [("params",), ("pre", "--n", "2"), ("simulate", "--n", "2", "--replicates", "10")])
     @pytest.mark.parametrize(
         "rows, message",
         [
-            ("1e10,1\n-1e10,0\n4e-300,1\n0,0", "population mean is zero or too near zero (Ybar = 1e-300)"),
-            ("0.1,1\n-0.1,0\n4e-309,1\n0,0", "population mean is zero or too near zero (Ybar = 1e-309)"),
-            ("1e-160,1\n3e-160,0\n2e-160,1\n5e-160,0", "the variance of y, S_y2 = 2.91696e-320, is below"),
-            ("1e-170,1\n3e-170,0\n2e-170,1\n5e-170,0", "the variance of y, S_y2 = 0, is below"),
+            ("1e10,1\n-1e10,0\n4e-300,1\n0,0", "C_y must be finite, got inf"),
+            ("0.1,1\n-0.1,0\n4e-309,1\n0,0", "Ybar = 1e-309 is too near zero"),
+            ("1e-160,1\n3e-160,0\n2e-160,1\n5e-160,0", "S_y2 = 2.91696e-320 is too near zero"),
+            ("1e-170,1\n3e-170,0\n2e-170,1\n5e-170,0", "S_y2 = 0 is too near zero"),
             ("0.1,1\n0.1,0\n0.1,1", "study variable is constant"),
         ],
         ids=["tiny-mean", "subnormal-mean", "subnormal-variance", "underflowing-variance", "constant"],
@@ -614,6 +621,31 @@ class TestInputChecks:
         code, out, err = run(capsys, command[0], "--input", str(path), *command[1:])
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("estimate", "--n", "3"), ("simulate", "--n", "3", "--replicates", "10"), ("enumerate", "--n", "3")],
+        ids=lambda v: v[0],
+    )
+    def test_mean_only_runs_need_no_parameters(self, capsys, tmp_path, argv):
+        # compute_params refuses this zero-mean population; the sample mean
+        # alone needs no population parameters.
+        path = tmp_path / "zero_mean.csv"
+        path.write_text("y,phi\n1,1\n-1,0\n2,1\n-2,0\n3,0\n-3,1\n", encoding="utf-8")
+        envelope = run_json(capsys, argv[0], "--input", str(path), *argv[1:], "--estimators", "mean")
+        rows = envelope["results"].get("rows", envelope["results"].get("estimates"))
+        assert [row["estimator"] for row in rows] == ["mean"]
+        assert envelope["warnings"] == []
+
+    @pytest.mark.parametrize("argv", [("simulate", "--n", "2", "--replicates", "10"), ("enumerate", "--n", "2")])
+    def test_mean_row_theory_same_without_ratio_rows(self, capsys, pop4, argv):
+        alone, with_all = (
+            run_json(capsys, argv[0], "--input", pop4, *argv[1:], *extra)["results"]["rows"][0]
+            for extra in (("--estimators", "mean"), ())
+        )
+        assert alone["estimator"] == with_all["estimator"] == "mean"
+        library = estlab.variance_sample_mean(estlab.compute_params(estlab.load_population(pop4)), 2)
+        assert alone["theoretical_mse"] == with_all["theoretical_mse"] == library
 
     def test_empty_items_are_skipped(self, capsys, pop4):
         spaced = VILLAGE_MOMENTS.replace(",P=", ",,P=")
