@@ -386,15 +386,27 @@ _SIM_COLUMNS = [
 ]
 
 
+def _finite_variance(pop: FinitePopulation) -> float:
+    """The population's S_y2, by the code that ``compute_params`` uses.
+
+    Refuses it as ``compute_params`` does when the squared deviations
+    overflow, so that a mean-only run fails before either engine sums them.
+    """
+    s_y2 = _centred(pop.y)[2]
+    if not math.isfinite(s_y2):
+        raise CliError(f"S_y2 must be finite, got {s_y2}; rescale the study values")
+    return s_y2
+
+
 def _sim_results(
-    result: SimResult, pop: FinitePopulation, params: PopulationParams | None, include_mean: bool
+    result: SimResult, N: int, s_y2: float, params: PopulationParams | None, include_mean: bool
 ) -> tuple[dict[str, Any], list[str]]:
     """Attach closed-form MSEs and relative errors to a simulation report.
 
-    The mean row's variance fpc*S_y2 takes S_y2 and fpc from the population
-    by the code that ``compute_params`` and ``variance_sample_mean`` use, so
-    ``params`` is None when only the sample mean was asked for, and such a
-    run works on a population that ``compute_params`` refuses.
+    The mean row's variance is fpc*S_y2, with S_y2 from
+    :func:`_finite_variance` and fpc from the code ``variance_sample_mean``
+    uses, so ``params`` is None when only the sample mean was asked for,
+    and such a run works on a population that ``compute_params`` refuses.
     """
     rows: list[dict[str, Any]] = []
     warnings: list[str] = []
@@ -403,7 +415,7 @@ def _sim_results(
             continue
         theoretical: float | None
         if row.estimator == "mean":
-            theoretical = theory._fpc(pop.N, result.n) * _centred(pop.y)[2]
+            theoretical = theory._fpc(N, result.n) * s_y2
         else:
             try:
                 theoretical = theory.mse_proposed(params, result.n, EstimatorId(row.estimator))
@@ -439,6 +451,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     seed = _default_seed(args.seed)
     pop, echo = _load_population_source(args, seed)
     include_mean, ids = _parse_estimators(args.estimators)
+    s_y2 = _finite_variance(pop)
     params = compute_params(pop) if ids else None
     config = SimConfig(
         n=args.n,
@@ -449,7 +462,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     result = monte_carlo(pop, config)
     echo = {**echo, "n": args.n, "replicates": args.replicates, "seed": seed, "policy": args.policy}
-    results, warnings = _sim_results(result, pop, params, include_mean)
+    results, warnings = _sim_results(result, pop.N, s_y2, params, include_mean)
     _emit(args, "simulate", echo, results, warnings, results["rows"])
     return EXIT_OK
 
@@ -457,10 +470,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     pop = load_population(args.input)
     include_mean, ids = _parse_estimators(args.estimators)
+    s_y2 = _finite_variance(pop)
     params = compute_params(pop) if ids else None
     result = enumerate_all_samples(pop, args.n, ids, args.policy)
     echo = {"input": args.input, "N": pop.N, "n": args.n, "policy": args.policy}
-    results, warnings = _sim_results(result, pop, params, include_mean)
+    results, warnings = _sim_results(result, pop.N, s_y2, params, include_mean)
     _emit(args, "enumerate", echo, results, warnings, results["rows"])
     return EXIT_OK
 

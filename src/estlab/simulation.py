@@ -63,11 +63,16 @@ batch layout, thread count, or evaluation order.  Chunks of
 CPUs this process may use, at most 4), at most one chunk per thread ahead
 of the estimators.  A chunk holds 24 bytes per replicate, its three
 column sums; a thread draws it in passes of about 32K deviates, so each
-thread holds one pass of deviates and indices at a time.  The calling
-thread turns each chunk into its per-count tables and reduces them to
-per-row subtotals, in replicate-index order, and the chunk size depends
-only on N, so the output is bit-identical whatever the thread count.  The
-chunk, not the pass, fixes the output.  Within a chunk, the sums by ``a``
+thread holds one pass of deviates at a time.  A replicate's sample is the
+units of its n smallest deviates.  Up to N = 2048 units, each unit number
+is packed into the 11 low bits of its raw word, below the 53 bits of its
+deviate, and the packed words are partitioned in place, so an exact tie
+goes to the lower unit; above that, a pass also holds an index matrix
+for ``argpartition``.  The calling thread turns each chunk into its
+per-count tables and reduces them to per-row subtotals, in replicate-index
+order, and the chunk size depends only on N, so the output is
+bit-identical whatever the thread count.  The chunk, not the pass, fixes
+the output.  Within a chunk, the sums by ``a``
 are taken over blocks of 128 samples, and the block subtotals pairwise;
 chunk subtotals are added with exact summation.  Synthetic-population
 noise uses the same keyed generator from a disjoint counter block, so a
@@ -123,9 +128,16 @@ _MAX_SEED = 2**64 - 1
 #: It holds 24 bytes per replicate, its three column sums.
 _BATCH_ELEMENTS = 4_000_000
 
-#: Deviates a chunk draws per pass: 256 KB of raw bits plus as much again
-#: of indices, so one pass per thread fits in L2.
+#: Deviates a chunk draws per pass: 256 KB of raw bits, partitioned in
+#: place up to ``_PACKED_UNITS`` units (plus as much again of indices
+#: above it), so one pass per thread fits in L2.
 _PASS_DEVIATES = 1 << 15
+
+#: Up to this many units, selection writes the unit number into a raw
+#: Philox word's 11 low bits (``_UNIT_BITS``), below the 53 that make its
+#: deviate.
+_PACKED_UNITS = 1 << 11
+_UNIT_BITS = np.uint64(_PACKED_UNITS - 1)
 
 
 def _worker_count() -> int:
@@ -526,15 +538,37 @@ def enumerate_all_samples(
     return _summarize(plan, true_mean, [(count, mean, m2)], total, "enumerate")
 
 
+def _smallest_units(raw: np.ndarray, N: int, n: int) -> np.ndarray:
+    """The units of the n smallest deviates in each row of the raw Philox
+    words ``raw[:, :N]``, in no particular order, as a (rows, n) array.
+
+    A deviate is a word's top 53 bits, which ``Generator.random`` scales to
+    a double.  Up to ``_PACKED_UNITS`` units, the unit number is written
+    into the 11 low bits below them and the packed keys are partitioned in
+    place, so an exact tie goes to the lower unit.  Above it, the deviates
+    are argpartitioned.  Overwrites ``raw``.
+    """
+    if N <= _PACKED_UNITS:
+        keys = raw[:, :N]
+        keys &= ~_UNIT_BITS
+        keys |= np.arange(N, dtype=np.uint64)
+        keys.partition(n - 1, axis=1)
+        return (keys[:, :n] & _UNIT_BITS).view(np.intp)
+    raw >>= 11
+    return np.ascontiguousarray(np.argpartition(raw[:, :N], n - 1, axis=1)[:, :n])
+
+
 def _sample_chunk(cols: np.ndarray, n: int, seed: int, start: int, count: int) -> np.ndarray:
     """Draw replicates start .. start + count - 1 and return their (3, count)
     column sums.
 
     The chunk is drawn in passes of about ``_PASS_DEVIATES`` deviates, so
-    the (rows, N) deviates and indices of one pass stay in cache; only the
-    sums scale with the chunk.  A deviate is kept as the 53 raw bits that
-    ``Generator.random`` would scale to a double, so the order, the ties
-    and the selected units are those of the uniform deviates.
+    the (rows, N) raw words of one pass stay in cache; only the sums scale
+    with the chunk.  A deviate is kept as the 53 raw bits that
+    ``Generator.random`` would scale to a double, so the order and the
+    selected units are those of the uniform deviates.  Up to N = 2048 the
+    words are selected in place as packed (deviate, unit) keys, and an
+    exact tie goes to the lower unit (:func:`_smallest_units`).
     """
     N = cols.shape[1]
     stride = 4 * -(-N // 4)  # Philox advances in blocks of four 64-bit draws
@@ -544,10 +578,8 @@ def _sample_chunk(cols: np.ndarray, n: int, seed: int, start: int, count: int) -
     sums = np.empty((3, count))
     for lo in range(0, count, pass_rows):
         rows = min(pass_rows, count - lo)
-        u = bits.random_raw(rows * stride).reshape(rows, stride)
-        u >>= 11
-        idx = np.ascontiguousarray(np.argpartition(u[:, :N], n - 1, axis=1)[:, :n])
-        np.take(cols, idx, axis=1).sum(axis=2, out=sums[:, lo : lo + rows])
+        units = _smallest_units(bits.random_raw(rows * stride).reshape(rows, stride), N, n)
+        np.take(cols, units, axis=1).sum(axis=2, out=sums[:, lo : lo + rows])
     return sums
 
 

@@ -596,6 +596,20 @@ class TestInputChecks:
         assert (code, out) == (2, "")
         assert err == "error: S_y2 must be finite, got inf; rescale the study values\n"
 
+    @pytest.mark.parametrize(
+        "argv", [("simulate", "--n", "2", "--replicates", "10"), ("enumerate", "--n", "2")], ids=lambda v: v[0]
+    )
+    def test_overflowing_population_refused_mean_only(self, capsys, recwarn, tmp_path, argv):
+        # No parameters are computed for the sample mean alone, but its
+        # squared deviations overflow all the same: refused before either
+        # engine sums them, with the ratio rows' message.
+        path = tmp_path / "huge.csv"
+        path.write_text("y,phi\n1e200,1\n3e200,0\n2e200,1\n5e200,0\n", encoding="utf-8")
+        code, out, err = run(capsys, argv[0], "--input", str(path), *argv[1:], "--estimators", "mean")
+        assert (code, out) == (2, "")
+        assert err == "error: S_y2 must be finite, got inf; rescale the study values\n"
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("command", [("params",), ("pre", "--n", "3")])
     def test_subnormal_moments_mean_refused(self, capsys, command):
         moments = "Ybar=1e-310,P=0.5,rho=0.1,Cy=1e300,Cp=1,N=10"

@@ -91,10 +91,11 @@ def brute_force_rows(pop, samples, estimators):
 
 def replicate_units(N, n, seed, i):
     """The units of Monte Carlo replicate i drawn alone: the n smallest of
-    the N deviates in its slice of the keyed Philox stream."""
+    the N deviates in its slice of the keyed Philox stream, ties to the
+    lower unit."""
     bits = np.random.Philox(key=seed)
     bits.advance(i * -(-N // 4))
-    return np.argsort(np.random.Generator(bits).random(N))[:n]
+    return np.argsort(np.random.Generator(bits).random(N), kind="stable")[:n]
 
 
 def exact_rows(pop, n):
@@ -759,10 +760,12 @@ class TestChunkSampling:
         """The sums of replicate i drawn alone."""
         return cols[:, replicate_units(cols.shape[1], n, seed, i)].sum(axis=1)
 
-    @pytest.mark.parametrize("N, n", [(5, 2), (13, 4), (2001, 100)])
+    # 2048 is the most units selection packs into the low bits; 2049 takes
+    # the argpartition branch.
+    @pytest.mark.parametrize("N, n", [(5, 2), (13, 4), (2001, 100), (2048, 100), (2049, 50)])
     def test_chunk_sums_match_single_draws(self, N, n):
         cols, seed = self.exact_columns(N), 7
-        stride = 4 * -(-N // 4)  # N = 5, 13 and 2001 are padded
+        stride = 4 * -(-N // 4)  # N = 5, 13, 2001 and 2049 are padded
         rows = DEFAULT_BATCH_ELEMENTS // (4 * N)  # the chunk
         pass_rows = max(1, simulation._PASS_DEVIATES // stride)
         # Chunk 0, then chunk 1 through its first pass boundary.
@@ -792,19 +795,77 @@ class TestChunkSampling:
             monte_carlo(split, TestThreadedSampling.SPLIT_ERROR)
         assert again.value.replicate == first.value.replicate == 429
 
-    @pytest.mark.parametrize("N, n, count", [(2000, 100, 500), (12, 4, 83_333)])
-    def test_one_chunk_holds_one_pass(self, N, n, count):
-        # Only the (3, count) sums scale with the chunk; the deviates and
-        # indices are one pass, well under a MB.
-        cols = self.exact_columns(N)
+    @classmethod
+    def chunk_peak(cls, N, n, count):
+        """Peak traced bytes of drawing one chunk of ``count`` replicates."""
+        cols = cls.exact_columns(N)
         simulation._sample_chunk(cols, n, 3, 0, 2)  # warm numpy's caches
         tracemalloc.start()
         try:
             simulation._sample_chunk(cols, n, 3, 0, count)
-            _, peak = tracemalloc.get_traced_memory()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24 * count + 2**20
+
+    @pytest.mark.parametrize("N, n, count", [(2000, 100, 500), (12, 4, 83_333), (3001, 100, 333)])
+    def test_one_chunk_holds_one_pass(self, N, n, count):
+        # Only the (3, count) sums scale with the chunk; the deviates and
+        # indices are one pass, well under a MB.
+        assert self.chunk_peak(N, n, count) < 24 * count + 2**20
+
+    @pytest.mark.parametrize("N, n, count", [(2000, 100, 500), (12, 4, 83_333), (2048, 100, 488)])
+    def test_packed_pass_holds_no_index_matrix(self, N, n, count):
+        # Beside the sums, a pass holds its raw words, the unit numbers 0..N-1,
+        # and the (rows, n) selected units with their (3, rows, n) gathered
+        # values, plus 64 KB; a (rows, N) index matrix would not fit.
+        stride = 4 * -(-N // 4)
+        rows = max(1, simulation._PASS_DEVIATES // stride)
+        one_pass = 8 * rows * stride + 8 * N + 32 * rows * n
+        assert self.chunk_peak(N, n, count) < 24 * count + one_pass + 2**16
+
+
+class TestSmallestUnits:
+    """``_smallest_units`` selects the n smallest 53-bit deviates of each row
+    of raw Philox words, ties to the lower unit."""
+
+    @staticmethod
+    def select(raw, N, n):
+        units = simulation._smallest_units(raw.copy(), N, n)
+        assert units.dtype == np.intp and units.shape == (raw.shape[0], n)
+        return np.sort(units, axis=1)
+
+    @staticmethod
+    def stable_oracle(raw, N, n):
+        return np.sort(np.argsort(raw[:, :N] >> np.uint64(11), kind="stable")[:, :n], axis=1)
+
+    @pytest.mark.parametrize("N", [8, 2048])
+    def test_tie_at_the_nth_place_goes_to_the_lower_unit(self, N):
+        # Units 1 and 2 lie below the tie; units lo and hi share their top
+        # 53 bits, so one of them is third.  The raw low 11 bits, smaller for
+        # hi in row 0 and for lo in row 1, must not count.
+        lo, hi = 3, N - 1
+        raw = np.full((2, N), np.uint64(7) << np.uint64(60), dtype=np.uint64)
+        raw[:, [1, 2]] = np.uint64(1) << np.uint64(60)
+        tie = np.uint64(5) << np.uint64(60)
+        raw[0, lo], raw[0, hi] = tie | np.uint64(0x7FF), tie
+        raw[1, lo], raw[1, hi] = tie, tie | np.uint64(0x7FF)
+        assert self.select(raw, N, 3).tolist() == [[1, 2, lo]] * 2
+
+    @pytest.mark.parametrize("N, n", [(12, 4), (2048, 100), (2049, 50)])
+    def test_random_words_match_a_stable_sort(self, N, n):
+        rng = np.random.default_rng(N)
+        stride = 4 * -(-N // 4)
+        raw = rng.integers(0, 2**64, size=(20, stride), dtype=np.uint64)
+        raw[0, N - 1] = 0  # the last unit is selected; unit 2 047 sets every low bit
+        assert np.array_equal(self.select(raw, N, n), self.stable_oracle(raw, N, n))
+
+    @pytest.mark.parametrize("N, n", [(12, 4), (2048, 100)])
+    def test_packed_ties_match_a_stable_sort(self, N, n):
+        # Eight distinct deviates in all: nearly every selection splits a tie.
+        rng = np.random.default_rng(N)
+        raw = rng.integers(0, 2**64, size=(20, N), dtype=np.uint64)
+        raw = (raw >> np.uint64(61) << np.uint64(61)) | (raw & np.uint64(0x7FF))
+        assert np.array_equal(self.select(raw, N, n), self.stable_oracle(raw, N, n))
 
 
 class TestSynthesize:
